@@ -3,7 +3,7 @@
 //! representative workloads, plus the one-time cost of the pass itself.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qls_sim::{Circuit, OptLevel, QuantumExecutor, StateVector};
+use qls_sim::{CachePolicy, Circuit, ExecMode, OptLevel, QuantumExecutor, StateVector};
 
 /// A projector-rotation-shaped workload (the QSVT inner-loop pattern):
 /// X-conjugated controlled phases between dense single-qubit layers.
@@ -31,8 +31,18 @@ fn bench_fused_vs_unfused(c: &mut Criterion) {
     let mut group = c.benchmark_group("sim/gate_fusion");
     group.sample_size(30);
     for (name, circ) in &cases {
-        let fused = QuantumExecutor::with_options(circ, OptLevel::Fuse);
-        let raw = QuantumExecutor::with_options(circ, OptLevel::None);
+        let fused = QuantumExecutor::with_config(
+            circ,
+            OptLevel::Fuse,
+            ExecMode::Flat,
+            CachePolicy::Disabled,
+        );
+        let raw = QuantumExecutor::with_config(
+            circ,
+            OptLevel::None,
+            ExecMode::Flat,
+            CachePolicy::Disabled,
+        );
         let input = StateVector::zero_state(circ.num_qubits());
         group.bench_function(format!("{name}/fused"), |b| {
             b.iter(|| std::hint::black_box(fused.run(&input)))

@@ -4,7 +4,9 @@
 //! high-qubit ops), and the one-time cost of compiling a sharded plan.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use qls_sim::{Circuit, ExecMode, OptLevel, QuantumExecutor, ShardedCircuit, ShardedState};
+use qls_sim::{
+    CachePolicy, Circuit, ExecMode, OptLevel, QuantumExecutor, ShardedCircuit, ShardedState,
+};
 
 /// A circuit whose every op touches the top qubits: each rep is served by
 /// exchange rounds, so the benchmark isolates the swap-halves machinery.
@@ -24,13 +26,18 @@ fn bench_sharded_vs_flat(c: &mut Criterion) {
     let input = qls_sim::StateVector::zero_state(14);
     let mut group = c.benchmark_group("sim/shard_exchange");
     group.sample_size(20);
-    let flat = QuantumExecutor::with_exec_mode(&circ, OptLevel::Fuse, ExecMode::Flat);
+    let flat =
+        QuantumExecutor::with_config(&circ, OptLevel::Fuse, ExecMode::Flat, CachePolicy::Disabled);
     group.bench_function("random_14q/flat", |b| {
         b.iter(|| std::hint::black_box(flat.run(&input)))
     });
     for shards in [2usize, 4, 8] {
-        let exec =
-            QuantumExecutor::with_exec_mode(&circ, OptLevel::Fuse, ExecMode::Sharded { shards });
+        let exec = QuantumExecutor::with_config(
+            &circ,
+            OptLevel::Fuse,
+            ExecMode::Sharded { shards },
+            CachePolicy::Disabled,
+        );
         group.bench_function(format!("random_14q/sharded_{shards}"), |b| {
             b.iter(|| std::hint::black_box(exec.run(&input)))
         });

@@ -78,7 +78,7 @@
 //! exits nonzero listing every violated floor.
 
 use qls_bench::{experiment_rng, layered_circuit, paper_test_system, random_circuit};
-use qls_cache::with_cache_dir;
+use qls_cache::{with_cache_dir, CachePolicy};
 use qls_core::HybridStatus;
 use qls_core::{HybridRefinementOptions, HybridRefiner, QsvtSolverOptions};
 use qls_linalg::{
@@ -346,11 +346,13 @@ fn main() {
                         .expect("warm QSVT inverter construction"),
                 );
             });
-            let unfused_inverter = QsvtInverter::with_opt_level(
+            let unfused_inverter = QsvtInverter::with_config(
                 &a,
                 preset.qsvt_eps,
                 QsvtMode::CircuitReal,
                 OptLevel::None,
+                ExecMode::Flat,
+                CachePolicy::default(),
             )
             .expect("unfused QSVT inverter construction");
             (
@@ -920,13 +922,19 @@ fn main() {
     // machine-independent) so CI can assert on them.
     let shard_count = 4usize;
     let scirc = random_circuit(preset.random_qubits, preset.random_ops, 20260807);
-    let flat_exec = QuantumExecutor::with_exec_mode(&scirc, OptLevel::Fuse, ExecMode::Flat);
-    let sharded_exec = QuantumExecutor::with_exec_mode(
+    let flat_exec = QuantumExecutor::with_config(
+        &scirc,
+        OptLevel::Fuse,
+        ExecMode::Flat,
+        CachePolicy::Disabled,
+    );
+    let sharded_exec = QuantumExecutor::with_config(
         &scirc,
         OptLevel::Fuse,
         ExecMode::Sharded {
             shards: shard_count,
         },
+        CachePolicy::Disabled,
     );
     let (sharded_secs, flat_secs) = time_min_pair(
         preset.random_reps,

@@ -18,6 +18,7 @@
 use crate::error::QlsError;
 use qls_cache::CachePolicy;
 use qls_encoding::StatePreparation;
+use qls_linalg::lu::LinalgError;
 use qls_linalg::{brent_minimize, scaled_residual, LinearOperator, Matrix, Vector};
 use qls_qsvt::{QsvtInverter, QsvtMode, QsvtResources};
 use qls_sim::fault::{lock_injector, SharedFaultInjector};
@@ -214,7 +215,9 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
         shots: Option<usize>,
         rng: &mut R,
     ) -> Result<QsvtSolveResult, QlsError> {
-        assert_eq!(b.len(), self.operator.nrows(), "dimension mismatch");
+        if b.len() != self.operator.nrows() {
+            return Err(LinalgError::DimensionMismatch.into());
+        }
         // Quantum solve: direction of the solution, through the compiled-once
         // circuit (or the retained recompile-per-call baseline when the
         // benchmark switch asks for it).
@@ -228,23 +231,13 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
 
     /// Solve `A x = b_k` for **many** right-hand sides, reusing the one
     /// compiled QSVT circuit across the whole batch
-    /// (`QsvtInverter::solve_direction_batch`, which fans the registers out
-    /// across threads in circuit mode).  Results are identical to calling
-    /// [`QsvtLinearSolver::solve`] per right-hand side in order.  The first
-    /// per-system failure aborts the whole batch; use
-    /// [`QsvtLinearSolver::solve_many_checked`] to keep the healthy systems.
-    pub fn solve_many<R: Rng>(
-        &self,
-        bs: &[Vector<f64>],
-        rng: &mut R,
-    ) -> Result<Vec<QsvtSolveResult>, QlsError> {
-        self.solve_many_checked(bs, rng).into_iter().collect()
-    }
-
-    /// [`QsvtLinearSolver::solve_many`] with a **per-system verdict**: one
-    /// failed post-selection (or injected fault) no longer poisons the whole
-    /// multi-RHS batch — the affected system carries its own error while
-    /// every other system still returns its solution.
+    /// (`QsvtInverter::solve_direction_batch_checked`, which fans the
+    /// registers out across threads in circuit mode).  Results are identical
+    /// to calling [`QsvtLinearSolver::solve`] per right-hand side in order,
+    /// with a **per-system verdict**: one failed post-selection (or injected
+    /// fault) does not poison the whole multi-RHS batch — the affected
+    /// system carries its own error while every other system still returns
+    /// its solution.
     pub fn solve_many_checked<R: Rng>(
         &self,
         bs: &[Vector<f64>],
@@ -278,10 +271,6 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
         shots_override: Option<usize>,
         rng: &mut R,
     ) -> Result<QsvtSolveResult, QlsError> {
-        // Classical pre-processing: the state-preparation tree of b/‖b‖.
-        let prep = StatePreparation::new(b);
-        let state_prep_flops = prep.classical_flops;
-
         // Optional finite-shot readout: perturb magnitudes with multinomial
         // sampling noise, keep the signs (sign recovery is assumed exact, see
         // qls-sim::measure::signed_from_magnitudes).  An attached fault
@@ -329,6 +318,7 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
 
         let solution = direction.scaled(scale);
         let omega = scaled_residual(&self.operator, &solution, b);
+        let resources = self.inverter.resources();
 
         Ok(QsvtSolveResult {
             solution,
@@ -337,10 +327,12 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
             scaled_residual: omega,
             success_probability,
             cost: SolveCost {
-                polynomial_degree: self.inverter.resources().degree,
-                block_encoding_calls: self.inverter.resources().block_encoding_calls,
+                polynomial_degree: resources.degree,
+                block_encoding_calls: resources.block_encoding_calls,
                 shots,
-                state_prep_flops,
+                // Classical pre-processing: the state-preparation tree of
+                // b/‖b‖, whose flop count depends only on its length.
+                state_prep_flops: StatePreparation::classical_flops_for(b.len()),
                 brent_evaluations: brent.evaluations,
                 classical_matvec_flops: 2 * self.operator.nnz(),
             },

@@ -21,12 +21,12 @@
 //! Both engines run the simulator's circuit-optimizer pass by default
 //! (`qls_sim::fuse`: gate fusion + diagonal merging), so structured
 //! encodings with long gate lists (LCU, FABLE, tridiagonal) execute as a
-//! handful of dense sweeps; [`BlockEncodingExecutor::with_opt_level`] retains
+//! handful of dense sweeps; [`BlockEncodingExecutor::with_exec_mode`] retains
 //! the unoptimized one-op-per-gate form as the equivalence oracle.
 
 use crate::block_encoding::BlockEncoding;
 use num_complex::Complex64;
-use qls_sim::{ExecMode, OptLevel, QuantumExecutor, StateVector};
+use qls_sim::{CachePolicy, ExecMode, OptLevel, QuantumExecutor, StateVector};
 
 /// A block-encoding compiled once (forward and adjoint) for repeated and
 /// batched application.
@@ -45,21 +45,15 @@ impl BlockEncodingExecutor {
     /// Compile `be`'s circuit and its adjoint exactly once, at the default
     /// optimization level (gate fusion on, [`OptLevel::Fuse`]).
     pub fn new<B: BlockEncoding + ?Sized>(be: &B) -> Self {
-        Self::with_opt_level(be, OptLevel::default())
+        Self::with_exec_mode(be, OptLevel::default(), ExecMode::Flat)
     }
 
-    /// [`BlockEncodingExecutor::new`] at an explicit [`OptLevel`]
-    /// (`OptLevel::None` keeps the compiled form one-op-per-gate — the
-    /// unoptimized oracle/baseline).
-    pub fn with_opt_level<B: BlockEncoding + ?Sized>(be: &B, opt_level: OptLevel) -> Self {
-        Self::with_exec_mode(be, opt_level, ExecMode::Flat)
-    }
-
-    /// [`BlockEncodingExecutor::with_opt_level`] at an explicit
-    /// [`ExecMode`]: `ExecMode::Sharded` runs both compiled circuits
-    /// (forward and adjoint) through the sharded register engine
-    /// (`qls_sim::shard`), with fusion biased toward low-qubit support to
-    /// minimize exchange rounds.
+    /// The general constructor, at an explicit [`OptLevel`] and
+    /// [`ExecMode`].  `OptLevel::None` keeps the compiled form
+    /// one-op-per-gate — the unoptimized oracle/baseline.
+    /// `ExecMode::Sharded` runs both compiled circuits (forward and adjoint)
+    /// through the sharded register engine (`qls_sim::shard`), with fusion
+    /// biased toward low-qubit support to minimize exchange rounds.
     pub fn with_exec_mode<B: BlockEncoding + ?Sized>(
         be: &B,
         opt_level: OptLevel,
@@ -68,8 +62,18 @@ impl BlockEncodingExecutor {
         let n = be.num_data_qubits();
         let total = be.total_qubits();
         BlockEncodingExecutor {
-            forward: QuantumExecutor::with_exec_mode(be.circuit(), opt_level, mode),
-            adjoint: QuantumExecutor::with_exec_mode(&be.circuit().adjoint(), opt_level, mode),
+            forward: QuantumExecutor::with_config(
+                be.circuit(),
+                opt_level,
+                mode,
+                CachePolicy::Disabled,
+            ),
+            adjoint: QuantumExecutor::with_config(
+                &be.circuit().adjoint(),
+                opt_level,
+                mode,
+                CachePolicy::Disabled,
+            ),
             num_data_qubits: n,
             num_ancilla_qubits: be.num_ancilla_qubits(),
             alpha: be.alpha(),
@@ -238,7 +242,7 @@ mod tests {
         );
         let be = crate::lcu::LcuBlockEncoding::new(&a, 1e-13);
         let fused = BlockEncodingExecutor::new(&be);
-        let raw = BlockEncodingExecutor::with_opt_level(&be, qls_sim::OptLevel::None);
+        let raw = BlockEncodingExecutor::with_exec_mode(&be, OptLevel::None, ExecMode::Flat);
         let v: Vec<Complex64> = (0..4)
             .map(|i| Complex64::new(0.25 * i as f64 - 0.3, 0.1 * i as f64))
             .collect();

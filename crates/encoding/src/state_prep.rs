@@ -99,6 +99,14 @@ impl StatePreparation {
         }
     }
 
+    /// The classical flop count of [`StatePreparation::new`] on any vector of
+    /// length `len = 2^n`, in closed form: `len` squared magnitudes, `len − 1`
+    /// partial sums up the tree and 4 flops per each of the `len − 1` angles,
+    /// `6·len − 5` in total.  The count does not depend on the values.
+    pub fn classical_flops_for(len: usize) -> usize {
+        (6 * len).saturating_sub(5)
+    }
+
     /// Build the preparation circuit on `num_qubits` qubits.
     ///
     /// Level-`l` rotations act on qubit `n-1-l` (most significant bit first)
@@ -202,6 +210,21 @@ mod tests {
         assert!((norm - vec.norm2()).abs() < 1e-14);
         let err = verify_preparation(&vec, &circuit);
         assert!(err < 1e-12, "preparation error {err} for {v:?}");
+    }
+
+    #[test]
+    fn closed_form_flop_count_matches_the_tree_build() {
+        let mut rng = ChaCha8Rng::seed_from_u64(12);
+        for n in 0..=12 {
+            let len = 1usize << n;
+            let v: Vec<f64> = (0..len).map(|_| rng.gen_range(-1.0..1.0)).collect();
+            let prep = StatePreparation::new(&Vector::from_f64_slice(&v));
+            assert_eq!(
+                StatePreparation::classical_flops_for(len),
+                prep.classical_flops,
+                "len {len}"
+            );
+        }
     }
 
     #[test]

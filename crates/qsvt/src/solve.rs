@@ -76,6 +76,9 @@ pub enum QsvtError {
     /// The solve produced a non-finite (NaN/Inf) output — caught at the
     /// readout boundary instead of leaking into downstream comparisons.
     NonFiniteOutput,
+    /// The matrix or accuracy handed to the constructor is outside what
+    /// the inversion supports; the message names the requirement.
+    InvalidInput(&'static str),
     /// An internal invariant of the solver was violated (a bug, not an
     /// input error); the message names the invariant.
     Internal(&'static str),
@@ -93,6 +96,7 @@ impl std::fmt::Display for QsvtError {
             QsvtError::NonFiniteOutput => {
                 write!(f, "solve produced a non-finite (NaN/Inf) output")
             }
+            QsvtError::InvalidInput(what) => write!(f, "invalid input: {what}"),
             QsvtError::Internal(what) => write!(f, "internal solver invariant violated: {what}"),
         }
     }
@@ -151,56 +155,41 @@ impl QsvtInverter {
     /// circuit is optimized (gate fusion + diagonal merging, the default
     /// [`OptLevel::Fuse`]) and compiled exactly once.
     pub fn new(a: &Matrix<f64>, epsilon_l: f64, mode: QsvtMode) -> Result<Self, QsvtError> {
-        Self::with_opt_level(a, epsilon_l, mode, OptLevel::default())
-    }
-
-    /// [`QsvtInverter::new`] at an explicit circuit-optimization level.
-    /// `OptLevel::None` compiles the QSVT gate list one-to-one — the
-    /// unoptimized compile-once baseline `bench_json` measures fusion
-    /// against (the fully uncached pre-engine path is
-    /// [`QsvtInverter::solve_direction_uncached`]).
-    pub fn with_opt_level(
-        a: &Matrix<f64>,
-        epsilon_l: f64,
-        mode: QsvtMode,
-        opt_level: OptLevel,
-    ) -> Result<Self, QsvtError> {
-        Self::with_exec_mode(a, epsilon_l, mode, opt_level, ExecMode::Flat)
-    }
-
-    /// [`QsvtInverter::with_opt_level`] at an explicit [`ExecMode`]:
-    /// `ExecMode::Sharded` compiles the QSVT circuit into the sharded
-    /// register engine (`qls_sim::shard`) with fusion biased toward
-    /// low-qubit support, so every solve executes via per-shard sweeps and
-    /// pairwise exchanges.  Only meaningful in circuit mode; emulation mode
-    /// has no register to shard.
-    pub fn with_exec_mode(
-        a: &Matrix<f64>,
-        epsilon_l: f64,
-        mode: QsvtMode,
-        opt_level: OptLevel,
-        exec_mode: ExecMode,
-    ) -> Result<Self, QsvtError> {
         Self::with_config(
             a,
             epsilon_l,
             mode,
-            opt_level,
-            exec_mode,
+            OptLevel::default(),
+            ExecMode::Flat,
             CachePolicy::default(),
         )
     }
 
-    /// The general constructor, adding the [`CachePolicy`] for the persistent
-    /// artifact cache (`qls-cache`).  `Enabled` — the default throughout the
-    /// QSVT layer — consults the on-disk stores before the two expensive
-    /// construction stages: symmetric-QSP phase factors (kind `qsvt-phases`,
-    /// keyed by the polynomial's Chebyshev coefficients and the
-    /// phase-finding options) and the fused circuit (kind `fused-circuits`,
-    /// keyed by the gate list, fusion options, and machine fingerprint).
-    /// Warm constructions therefore run zero phase-factor iterations and
-    /// zero fusion passes, and produce bit-identical artefacts to a cold
-    /// build.  `Disabled` is the escape hatch that never touches the disk.
+    /// The general constructor.
+    ///
+    /// * `opt_level`: `OptLevel::None` compiles the QSVT gate list
+    ///   one-to-one — the unoptimized compile-once baseline `bench_json`
+    ///   measures fusion against (the fully uncached pre-engine path is
+    ///   [`QsvtInverter::solve_direction_uncached`]).
+    /// * `exec_mode`: `ExecMode::Sharded` compiles the QSVT circuit into the
+    ///   sharded register engine (`qls_sim::shard`) with fusion biased
+    ///   toward low-qubit support, so every solve executes via per-shard
+    ///   sweeps and pairwise exchanges.  Only meaningful in circuit mode;
+    ///   emulation mode has no register to shard.
+    /// * `cache`: the [`CachePolicy`] for the persistent artifact cache
+    ///   (`qls-cache`).  `Enabled` — the default throughout the QSVT layer —
+    ///   consults the on-disk stores before the two expensive construction
+    ///   stages: symmetric-QSP phase factors (kind `qsvt-phases`, keyed by
+    ///   the polynomial's Chebyshev coefficients and the phase-finding
+    ///   options) and the fused circuit (kind `fused-circuits`, keyed by the
+    ///   gate list, fusion options, and machine fingerprint).  Warm
+    ///   constructions therefore run zero phase-factor iterations and zero
+    ///   fusion passes, and produce bit-identical artefacts to a cold build.
+    ///   `Disabled` is the escape hatch that never touches the disk.
+    ///
+    /// `a` must be square with a power-of-two dimension `2^n` (the data
+    /// register) and `epsilon_l` must lie in (0, 1); anything else is
+    /// [`QsvtError::InvalidInput`].
     pub fn with_config(
         a: &Matrix<f64>,
         epsilon_l: f64,
@@ -209,11 +198,14 @@ impl QsvtInverter {
         exec_mode: ExecMode,
         cache: CachePolicy,
     ) -> Result<Self, QsvtError> {
-        assert!(a.is_square(), "QSVT inversion needs a square matrix");
-        assert!(
-            epsilon_l > 0.0 && epsilon_l < 1.0,
-            "epsilon_l must be in (0, 1)"
-        );
+        if !a.is_square() || !a.nrows().is_power_of_two() {
+            return Err(QsvtError::InvalidInput(
+                "QSVT inversion needs a square matrix of dimension 2^n",
+            ));
+        }
+        if !(epsilon_l > 0.0 && epsilon_l < 1.0) {
+            return Err(QsvtError::InvalidInput("epsilon_l must be in (0, 1)"));
+        }
         let svd = Svd::new(a);
         let sigma_min = svd.sigma_min();
         if sigma_min <= 0.0 {
@@ -436,20 +428,13 @@ impl QsvtInverter {
     /// Apply the QSVT inversion to **many** right-hand sides at once, reusing
     /// the one compiled circuit across the whole batch.  In circuit mode the
     /// registers fan out across threads through
-    /// `qls_sim::QuantumExecutor::run_batch` (coarse-grained, one register
-    /// per worker); results are identical to mapping
-    /// [`QsvtInverter::solve_direction`] over the inputs in order.
-    pub fn solve_direction_batch(
-        &self,
-        bs: &[Vector<f64>],
-    ) -> Result<Vec<(Vector<f64>, f64)>, QsvtError> {
-        self.solve_direction_batch_checked(bs).into_iter().collect()
-    }
-
-    /// [`QsvtInverter::solve_direction_batch`] with a **per-system verdict**:
-    /// one failed post-selection or injected fault no longer takes down the
-    /// whole multi-RHS batch — the affected slot carries its own error and
-    /// every other system still returns its direction.
+    /// `qls_sim::QuantumExecutor::run_batch_checked` (coarse-grained, one
+    /// register per worker); results are identical to mapping
+    /// [`QsvtInverter::solve_direction`] over the inputs in order, with a
+    /// **per-system verdict**: one failed post-selection or injected fault
+    /// does not take down the whole multi-RHS batch — the affected slot
+    /// carries its own error and every other system still returns its
+    /// direction.
     pub fn solve_direction_batch_checked(
         &self,
         bs: &[Vector<f64>],
@@ -708,9 +693,15 @@ mod tests {
                 stats.raw_ops,
                 stats.fused_ops
             );
-            let unfused =
-                QsvtInverter::with_opt_level(&a, 0.05, QsvtMode::CircuitReal, OptLevel::None)
-                    .unwrap();
+            let unfused = QsvtInverter::with_config(
+                &a,
+                0.05,
+                QsvtMode::CircuitReal,
+                OptLevel::None,
+                ExecMode::Flat,
+                CachePolicy::default(),
+            )
+            .unwrap();
             assert!(unfused.circuit_stats().is_none());
             let (dir_fused, succ_fused) = fused.solve_direction(&b).unwrap();
             let (dir_raw, succ_raw) = unfused.solve_direction(&b).unwrap();
@@ -733,13 +724,13 @@ mod tests {
         for _ in 0..3 {
             inverter.solve_direction(&b).unwrap();
         }
-        inverter
-            .solve_direction_batch(&[b.clone(), b.clone()])
-            .unwrap();
+        for result in inverter.solve_direction_batch_checked(&[b.clone(), b.clone()]) {
+            result.unwrap();
+        }
         assert_eq!(
             qls_sim::circuit_compile_count(),
             before,
-            "solve_direction / solve_direction_batch must reuse the compiled circuit"
+            "solve_direction / solve_direction_batch_checked must reuse the compiled circuit"
         );
         // The uncached baseline, by contrast, compiles per call.
         inverter.solve_direction_uncached(&b).unwrap();
@@ -755,7 +746,11 @@ mod tests {
                 .map(|_| qls_linalg::generate::random_unit_vector(4, &mut rng))
                 .collect();
             let inverter = QsvtInverter::new(&a, 0.05, mode).unwrap();
-            let batched = inverter.solve_direction_batch(&bs).unwrap();
+            let batched: Vec<(Vector<f64>, f64)> = inverter
+                .solve_direction_batch_checked(&bs)
+                .into_iter()
+                .collect::<Result<_, _>>()
+                .unwrap();
             assert_eq!(batched.len(), bs.len());
             for (b, (dir_b, succ_b)) in bs.iter().zip(&batched) {
                 let (dir_s, succ_s) = inverter.solve_direction(b).unwrap();
@@ -773,8 +768,10 @@ mod tests {
         let (a, b) = test_system(2.0, 4, 147);
         let inverter = QsvtInverter::new(&a, 0.05, QsvtMode::CircuitReal).unwrap();
         let zero = Vector::zeros(4);
-        let results = inverter
-            .solve_direction_batch(&[b.clone(), zero, b.clone()])
+        let results: Vec<(Vector<f64>, f64)> = inverter
+            .solve_direction_batch_checked(&[b.clone(), zero, b.clone()])
+            .into_iter()
+            .collect::<Result<_, _>>()
             .unwrap();
         assert_eq!(results.len(), 3);
         assert_eq!(results[1].0.norm2(), 0.0);
@@ -782,6 +779,30 @@ mod tests {
         let (dir, _) = inverter.solve_direction(&b).unwrap();
         assert!((&results[0].0 - &dir).norm2() < 1e-14);
         assert!((&results[2].0 - &dir).norm2() < 1e-14);
+    }
+
+    #[test]
+    fn invalid_inputs_are_typed_errors() {
+        let (a, _) = test_system(2.0, 4, 148);
+        for mode in [QsvtMode::Emulation, QsvtMode::CircuitReal] {
+            for eps in [0.0, 1.0, 1.5, f64::NAN] {
+                assert!(
+                    matches!(
+                        QsvtInverter::new(&a, eps, mode),
+                        Err(QsvtError::InvalidInput(_))
+                    ),
+                    "{mode:?}, epsilon_l = {eps}"
+                );
+            }
+            let non_square = Matrix::<f64>::zeros(4, 2);
+            let (twelve, _) = test_system(2.0, 12, 149);
+            for bad in [&non_square, &twelve] {
+                assert!(matches!(
+                    QsvtInverter::new(bad, 0.05, mode),
+                    Err(QsvtError::InvalidInput(_))
+                ));
+            }
+        }
     }
 
     #[test]

@@ -182,8 +182,7 @@ pub struct QuantumExecutor {
     /// The flat form stays the bit-identity oracle.
     sharded: Option<ShardedCircuit>,
     opt_level: OptLevel,
-    /// Before/after fusion report (`None` for [`OptLevel::None`] and for
-    /// [`QuantumExecutor::from_compiled`]).
+    /// Before/after fusion report (`None` for [`OptLevel::None`]).
     stats: Option<CircuitStats>,
     /// Fault injector consulted by the *checked* execution paths only
     /// ([`QuantumExecutor::run_in_place_checked`],
@@ -194,81 +193,40 @@ pub struct QuantumExecutor {
 
 impl QuantumExecutor {
     /// Optimize (default [`OptLevel::Fuse`]) and compile `circuit` once for
-    /// its own register width.
+    /// its own register width, flat, with the artifact cache disabled.
     pub fn new(circuit: &Circuit) -> Self {
-        Self::with_options(circuit, OptLevel::default())
+        Self::with_config(
+            circuit,
+            OptLevel::default(),
+            ExecMode::Flat,
+            CachePolicy::Disabled,
+        )
     }
 
-    /// Compile `circuit` once at an explicit [`OptLevel`].
-    pub fn with_options(circuit: &Circuit, opt_level: OptLevel) -> Self {
-        Self::for_register_with_options(circuit, circuit.num_qubits(), opt_level)
-    }
-
-    /// Compile `circuit` once for a register of `num_qubits` (≥ the circuit's
-    /// width), so the compiled form can run on a larger register directly.
-    pub fn for_register(circuit: &Circuit, num_qubits: usize) -> Self {
-        Self::for_register_with_options(circuit, num_qubits, OptLevel::default())
-    }
-
-    /// [`QuantumExecutor::for_register`] at an explicit [`OptLevel`].
-    pub fn for_register_with_options(
-        circuit: &Circuit,
-        num_qubits: usize,
-        opt_level: OptLevel,
-    ) -> Self {
-        Self::for_register_with_exec_mode(circuit, num_qubits, opt_level, ExecMode::Flat)
-    }
-
-    /// Compile `circuit` once at an explicit [`OptLevel`] and [`ExecMode`].
-    pub fn with_exec_mode(circuit: &Circuit, opt_level: OptLevel, mode: ExecMode) -> Self {
-        Self::for_register_with_exec_mode(circuit, circuit.num_qubits(), opt_level, mode)
-    }
-
-    /// [`QuantumExecutor::for_register_with_exec_mode`] with the artifact
-    /// cache disabled — ad-hoc executors over arbitrary circuits should not
-    /// populate the user's cache directory by default.  Layers with stable,
-    /// expensive-to-fuse circuits (the QSVT solver stack) opt in through
-    /// [`QuantumExecutor::for_register_with_config`].
-    pub fn for_register_with_exec_mode(
-        circuit: &Circuit,
-        num_qubits: usize,
-        opt_level: OptLevel,
-        mode: ExecMode,
-    ) -> Self {
-        Self::for_register_with_config(circuit, num_qubits, opt_level, mode, CachePolicy::Disabled)
-    }
-
-    /// [`QuantumExecutor::for_register_with_config`] at the circuit's own
-    /// register width.
+    /// The general constructor: explicit [`OptLevel`], [`ExecMode`], and
+    /// [`CachePolicy`], compiled for the circuit's own register width.  In
+    /// sharded mode the fused (or raw) operation list is compiled twice —
+    /// the flat oracle plus the sharded plan — still at construction only;
+    /// runs never recompile.
+    ///
+    /// Ad-hoc executors over arbitrary circuits should pass
+    /// `CachePolicy::Disabled` so they do not populate the user's cache
+    /// directory; layers with stable, expensive-to-fuse circuits (the QSVT
+    /// solver stack) opt in.  With the cache enabled, the [`OptLevel::Fuse`]
+    /// path consults the persistent `fused-circuits` store before running
+    /// the optimizer: a hit replays the previously fused operation list
+    /// (zero [`crate::fuse::fusion_pass_count`] ticks, and — because the
+    /// measured cost model's calibration table is also persisted — zero
+    /// timing runs), a miss fuses as usual and stores the result.  Either
+    /// way the compiled form is bit-identical: the cache stores the fusion
+    /// *decision*, not floats produced by it.
     pub fn with_config(
         circuit: &Circuit,
         opt_level: OptLevel,
         mode: ExecMode,
         cache: CachePolicy,
     ) -> Self {
-        Self::for_register_with_config(circuit, circuit.num_qubits(), opt_level, mode, cache)
-    }
-
-    /// The general constructor: explicit register width, [`OptLevel`],
-    /// [`ExecMode`], and [`CachePolicy`].  In sharded mode the fused (or raw)
-    /// operation list is compiled twice — the flat oracle plus the sharded
-    /// plan — still at construction only; runs never recompile.
-    ///
-    /// With the cache enabled, the [`OptLevel::Fuse`] path consults the
-    /// persistent `fused-circuits` store before running the optimizer: a hit
-    /// replays the previously fused operation list (zero
-    /// [`crate::fuse::fusion_pass_count`] ticks, and — because the measured
-    /// cost model's calibration table is also persisted — zero timing runs),
-    /// a miss fuses as usual and stores the result.  Either way the compiled
-    /// form is bit-identical: the cache stores the fusion *decision*, not
-    /// floats produced by it.
-    pub fn for_register_with_config(
-        circuit: &Circuit,
-        num_qubits: usize,
-        opt_level: OptLevel,
-        mode: ExecMode,
-        cache: CachePolicy,
-    ) -> Self {
+        let num_qubits = circuit.num_qubits();
         let shards = match mode {
             ExecMode::Flat => None,
             ExecMode::Sharded { shards } => Some(shards),
@@ -337,17 +295,6 @@ impl QuantumExecutor {
                     fault: None,
                 }
             }
-        }
-    }
-
-    /// Wrap an already-compiled circuit.
-    pub fn from_compiled(compiled: CompiledCircuit) -> Self {
-        QuantumExecutor {
-            compiled,
-            sharded: None,
-            opt_level: OptLevel::None,
-            stats: None,
-            fault: None,
         }
     }
 
@@ -576,7 +523,12 @@ mod tests {
         let mut via_state = StateVector::zero_state(5);
         via_state.apply_circuit(&circ);
         assert!(max_diff(&exec.run_zero(), &via_state) < 1e-12);
-        let raw = QuantumExecutor::with_options(&circ, OptLevel::None);
+        let raw = QuantumExecutor::with_config(
+            &circ,
+            OptLevel::None,
+            ExecMode::Flat,
+            CachePolicy::Disabled,
+        );
         assert_eq!(raw.run_zero().amplitudes(), via_state.amplitudes());
         assert_eq!(raw.opt_level(), OptLevel::None);
         assert!(raw.stats().is_none());
@@ -613,17 +565,6 @@ mod tests {
             let single = exec.run(init);
             assert_eq!(b.amplitudes(), single.amplitudes());
         }
-    }
-
-    #[test]
-    fn for_register_runs_on_larger_register() {
-        let circ = test_circuit(3);
-        let exec = QuantumExecutor::for_register(&circ, 5);
-        assert_eq!(exec.num_qubits(), 5);
-        let out = exec.run_zero();
-        let mut direct = StateVector::zero_state(5);
-        direct.apply_circuit(&circ);
-        assert!(max_diff(&out, &direct) < 1e-12);
     }
 
     #[test]
@@ -676,7 +617,12 @@ mod tests {
         // On the tiny 2-qubit register the mask-densifying pass collapses
         // the whole circuit (cx included) into one dense 2-qubit unitary.
         assert_eq!(exec.len(), 1);
-        let raw = QuantumExecutor::with_options(&test_circuit(2), OptLevel::None);
+        let raw = QuantumExecutor::with_config(
+            &test_circuit(2),
+            OptLevel::None,
+            ExecMode::Flat,
+            CachePolicy::Disabled,
+        );
         assert_eq!(raw.len(), 1 + 1 + 3 + 1); // h + cx + ry/rz/t + phase
     }
 }

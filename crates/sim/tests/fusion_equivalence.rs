@@ -8,8 +8,8 @@
 use num_complex::Complex64;
 use qls_sim::kernels::reference;
 use qls_sim::{
-    circuit_compile_count, CMatrix, Circuit, Gate, Operation, OptLevel, QuantumExecutor,
-    StateVector,
+    circuit_compile_count, CMatrix, CachePolicy, Circuit, ExecMode, Gate, Operation, OptLevel,
+    QuantumExecutor, StateVector,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -114,8 +114,18 @@ fn optimized_execution_matches_both_oracles_on_random_circuits() {
             }
             let start = random_state(n, &mut rng);
 
-            let fused = QuantumExecutor::with_options(&circ, OptLevel::Fuse);
-            let raw = QuantumExecutor::with_options(&circ, OptLevel::None);
+            let fused = QuantumExecutor::with_config(
+                &circ,
+                OptLevel::Fuse,
+                ExecMode::Flat,
+                CachePolicy::Disabled,
+            );
+            let raw = QuantumExecutor::with_config(
+                &circ,
+                OptLevel::None,
+                ExecMode::Flat,
+                CachePolicy::Disabled,
+            );
             let via_fused = fused.run(&start);
             let via_raw = raw.run(&start);
             let mut via_reference = start.clone();
@@ -157,7 +167,8 @@ fn optimization_happens_once_at_construction_and_never_during_runs() {
     }
 
     let before = circuit_compile_count();
-    let exec = QuantumExecutor::with_options(&circ, OptLevel::Fuse);
+    let exec =
+        QuantumExecutor::with_config(&circ, OptLevel::Fuse, ExecMode::Flat, CachePolicy::Disabled);
     assert_eq!(
         circuit_compile_count(),
         before + 1,
@@ -240,7 +251,8 @@ fn deep_diagonal_and_conjugation_chains_collapse() {
         stats.raw_ops,
         stats.fused_ops
     );
-    let raw = QuantumExecutor::with_options(&circ, OptLevel::None);
+    let raw =
+        QuantumExecutor::with_config(&circ, OptLevel::None, ExecMode::Flat, CachePolicy::Disabled);
     let start = random_state(n, &mut ChaCha8Rng::seed_from_u64(3));
     assert!(max_amp_diff(&exec.run(&start), &raw.run(&start)) < 1e-12);
 }

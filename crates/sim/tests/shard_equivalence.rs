@@ -8,8 +8,8 @@
 
 use num_complex::Complex64;
 use qls_sim::{
-    circuit_compile_count, CMatrix, Circuit, ExecMode, Gate, Operation, OptLevel, QuantumExecutor,
-    ShardedCircuit, ShardedState, StateVector,
+    circuit_compile_count, CMatrix, CachePolicy, Circuit, ExecMode, Gate, Operation, OptLevel,
+    QuantumExecutor, ShardedCircuit, ShardedState, StateVector,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -118,10 +118,11 @@ fn sharded_execution_is_bit_identical_to_the_flat_oracle() {
             let start = random_state(n, &mut rng);
             for opt_level in [OptLevel::None, OptLevel::Fuse] {
                 for shards in shard_counts(n) {
-                    let exec = QuantumExecutor::with_exec_mode(
+                    let exec = QuantumExecutor::with_config(
                         &circ,
                         opt_level,
                         ExecMode::Sharded { shards },
+                        CachePolicy::Disabled,
                     );
                     assert_eq!(exec.exec_mode(), ExecMode::Sharded { shards });
                     let via_sharded = exec.run(&start);
@@ -162,10 +163,11 @@ fn sharded_execution_matches_the_unsharded_engine_to_roundoff() {
         let start = random_state(n, &mut rng);
         let flat = QuantumExecutor::new(&circ);
         for shards in shard_counts(n) {
-            let sharded = QuantumExecutor::with_exec_mode(
+            let sharded = QuantumExecutor::with_config(
                 &circ,
                 OptLevel::Fuse,
                 ExecMode::Sharded { shards },
+                CachePolicy::Disabled,
             );
             let d = flat
                 .run(&start)
@@ -193,8 +195,12 @@ fn shard_counts_exceeding_thread_count_stay_bit_identical() {
         push_random_op(&mut circ, n, &mut rng);
     }
     let start = random_state(n, &mut rng);
-    let exec =
-        QuantumExecutor::with_exec_mode(&circ, OptLevel::Fuse, ExecMode::Sharded { shards: 8 });
+    let exec = QuantumExecutor::with_config(
+        &circ,
+        OptLevel::Fuse,
+        ExecMode::Sharded { shards: 8 },
+        CachePolicy::Disabled,
+    );
     let mut oracle = start.clone();
     exec.compiled().apply(&mut oracle);
     for threads in [1usize, 2, 4] {
@@ -243,8 +249,12 @@ fn sharded_engine_compiles_at_construction_and_never_during_runs() {
         push_random_op(&mut circ, n, &mut rng);
     }
     let before = circuit_compile_count();
-    let exec =
-        QuantumExecutor::with_exec_mode(&circ, OptLevel::Fuse, ExecMode::Sharded { shards: 4 });
+    let exec = QuantumExecutor::with_config(
+        &circ,
+        OptLevel::Fuse,
+        ExecMode::Sharded { shards: 4 },
+        CachePolicy::Disabled,
+    );
     assert_eq!(
         circuit_compile_count(),
         before + 2,
@@ -271,8 +281,12 @@ fn batched_sharded_execution_is_bit_identical_to_single_runs() {
     for _ in 0..24 {
         push_random_op(&mut circ, n, &mut rng);
     }
-    let exec =
-        QuantumExecutor::with_exec_mode(&circ, OptLevel::Fuse, ExecMode::Sharded { shards: 4 });
+    let exec = QuantumExecutor::with_config(
+        &circ,
+        OptLevel::Fuse,
+        ExecMode::Sharded { shards: 4 },
+        CachePolicy::Disabled,
+    );
     let inputs: Vec<StateVector> = (0..5).map(|_| random_state(n, &mut rng)).collect();
     let mut batch = inputs.clone();
     exec.run_batch(&mut batch);

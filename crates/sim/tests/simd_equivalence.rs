@@ -10,8 +10,8 @@
 
 use num_complex::Complex64;
 use qls_sim::{
-    with_scalar_kernels, CMatrix, Circuit, CompiledCircuit, Gate, OptLevel, QuantumExecutor,
-    StateVector,
+    with_scalar_kernels, CMatrix, CachePolicy, Circuit, CompiledCircuit, ExecMode, Gate, OptLevel,
+    QuantumExecutor, StateVector,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -141,7 +141,12 @@ fn unoptimized_path_stays_float_identical_to_the_seed_reference() {
     for n in 1..=8usize {
         let circ = random_circuit(n, 3 + 2 * n, &mut rng);
         let initial = random_state(n, &mut rng);
-        let exec = QuantumExecutor::with_options(&circ, OptLevel::None);
+        let exec = QuantumExecutor::with_config(
+            &circ,
+            OptLevel::None,
+            ExecMode::Flat,
+            CachePolicy::Disabled,
+        );
         let via_exec = exec.run(&initial);
         let mut direct = initial.clone();
         direct.apply_circuit(&circ);

@@ -63,7 +63,12 @@ fn main() {
     // Run it: the sharded engine fuses with the low-support preference,
     // then executes chunk-parallel with pairwise exchanges.
     let t0 = Instant::now();
-    let exec = QuantumExecutor::with_exec_mode(&circ, OptLevel::Fuse, ExecMode::Sharded { shards });
+    let exec = QuantumExecutor::with_config(
+        &circ,
+        OptLevel::Fuse,
+        ExecMode::Sharded { shards },
+        CachePolicy::Disabled,
+    );
     let compile_time = t0.elapsed();
     let t1 = Instant::now();
     let state = exec.run_zero();

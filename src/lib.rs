@@ -60,8 +60,8 @@
 //! chunk halves, the ops run shard-locally with the qubit pair transposed,
 //! the halves swap back — batched so one exchange round serves a run of
 //! high-qubit ops.  Select it per engine with
-//! `qls_sim::ExecMode::Sharded { shards }` (on `QuantumExecutor`,
-//! `BlockEncodingExecutor::with_exec_mode`, `QsvtInverter::with_exec_mode`);
+//! `qls_sim::ExecMode::Sharded { shards }` (on `QuantumExecutor::with_config`,
+//! `BlockEncodingExecutor::with_exec_mode`, `QsvtInverter::with_config`);
 //! the flat register remains the **bit-identity oracle** at every shard
 //! count (`tests/shard_equivalence.rs` in `qls-sim`).  Fusion cooperates:
 //! `FusionOptions::with_shard_boundary` prices movement per exchanged qubit
@@ -75,10 +75,11 @@
 //! * [`encoding`] (`qls-encoding`) — state preparation and block-encodings;
 //! * [`qsvt`] (`qls-qsvt`) — QSP phases, QSVT circuits, matrix inversion
 //!   (compile-once: `QsvtInverter` compiles its circuit in `new` and offers
-//!   batched multi-RHS solves via `solve_direction_batch`);
+//!   batched multi-RHS solves via `solve_direction_batch_checked`);
 //! * [`core`] (`qls-core`) — the hybrid solver (Algorithm 2; `HybridRefiner`
-//!   reuses one compiled circuit across all refinement iterations and all
-//!   right-hand sides of `solve_many`, and accepts any `FactorizableOperator`
+//!   runs one refinement loop, `solve_many`, with `solve(b)` its batch of
+//!   one; it reuses one compiled circuit across all refinement iterations
+//!   and all right-hand sides, and accepts any `FactorizableOperator`
 //!   — its classical residual path is O(nnz) on structured problems), cost
 //!   models, communication model, baselines, the unified `QlsError`
 //!   taxonomy, and the fault-recovery ladder (`RecoveryPolicy`: retry →

@@ -245,3 +245,80 @@ fn readout_corruption_composes_with_finite_shot_sampling() {
     );
     assert!(scaled_residual(&a, &x, &b) <= 1e-5);
 }
+
+#[test]
+fn single_solve_is_bit_identical_to_a_batch_of_one() {
+    // `solve(b)` and `solve_many(&[b])[0]` are the same refinement: same
+    // kernels, same readout-RNG order, same injector run order.  Pinned on
+    // every axis that changes the loop's path: mode, readout, recovery
+    // ladder, and fault injection (a fresh, identically seeded injector per
+    // run, so both calls see the same fault sequence).
+    let (a, b) = system(2.0, 4, 307);
+    let plan = FaultPlan::new(37)
+        .with_transient(2, TransientKind::InjectedError)
+        .with_amplitude_noise(2e-3)
+        .with_readout_sign_flips(0.05);
+    for mode in [QsvtMode::Emulation, QsvtMode::CircuitReal] {
+        for sampled in [false, true] {
+            for recovery in [RecoveryPolicy::default(), RecoveryPolicy::full()] {
+                for faulty in [false, true] {
+                    let mut solver = QsvtSolverOptions {
+                        epsilon_l: 0.05,
+                        mode,
+                        ..Default::default()
+                    };
+                    if sampled {
+                        solver.shots = Some(solver.model_shots());
+                    }
+                    let make = || {
+                        let mut refiner = HybridRefiner::new(
+                            &a,
+                            HybridRefinementOptions {
+                                target_epsilon: 1e-8,
+                                epsilon_l: 0.05,
+                                max_iterations: 30,
+                                solver,
+                                recovery,
+                            },
+                        )
+                        .unwrap();
+                        if faulty {
+                            refiner.attach_fault_injector(FaultInjector::shared(plan.clone()));
+                        }
+                        refiner
+                    };
+                    let case = format!(
+                        "{mode:?}, sampled {sampled}, recovery {}, faulty {faulty}",
+                        recovery.enabled
+                    );
+                    let (x1, h1) = make().solve(&b, &mut experiment_rng(11)).unwrap();
+                    let mut many = make()
+                        .solve_many(std::slice::from_ref(&b), &mut experiment_rng(11))
+                        .unwrap();
+                    assert_eq!(many.len(), 1, "{case}");
+                    let (xm, hm) = many.remove(0);
+                    let bits = |v: &Vector<f64>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    assert_eq!(bits(&x1), bits(&xm), "{case}: solutions differ");
+                    assert_eq!(h1.status, hm.status, "{case}");
+                    assert_eq!(h1.steps.len(), hm.steps.len(), "{case}");
+                    for (s1, sm) in h1.steps.iter().zip(&hm.steps) {
+                        assert_eq!(s1.iteration, sm.iteration, "{case}");
+                        assert_eq!(
+                            s1.scaled_residual.to_bits(),
+                            sm.scaled_residual.to_bits(),
+                            "{case}: step {}",
+                            s1.iteration
+                        );
+                        assert_eq!(
+                            format!("{:?}", s1.cost),
+                            format!("{:?}", sm.cost),
+                            "{case}: step {} cost",
+                            s1.iteration
+                        );
+                    }
+                    assert_eq!(h1.recovery.events, hm.recovery.events, "{case}");
+                }
+            }
+        }
+    }
+}
