@@ -1,70 +1,46 @@
 //! `bench_json` — the machine-readable perf-trajectory benchmark.
 //!
-//! Times representative simulator workloads and writes `BENCH_simulator.json`
-//! so every future PR can compare against the recorded numbers:
+//! Times representative simulator and solver workloads and writes
+//! `BENCH_simulator.json` so every future PR can compare against the
+//! recorded numbers.  The ten workload sections, in artifact order:
 //!
-//! 1. a random mixed-gate circuit on 16 qubits (the simulator hot path),
-//!    measured through the specialized kernel dispatch *and* through the
-//!    retained generic reference path of `qls_sim::kernels::reference`, both
-//!    pinned to one thread — their ratio is the kernel speedup — plus the
-//!    kernel path at the machine's full thread count for the parallel scaling
-//!    factor;
-//! 2. a full gate-level QSVT solve on the paper's 4-qubit (N = 16) test
-//!    system (Section IV experimental setup), through the **fused**
-//!    compile-once engine (the default `OptLevel::Fuse`), the unoptimized
-//!    compile-once engine (`OptLevel::None`) *and* the retained uncached
-//!    per-call path — their ratios are the gate-fusion and compile-once
-//!    speedups, and the `fusion_op_reduction` stat records how far the
-//!    optimizer shrinks the degree-d QSVT circuit; the build is measured
-//!    twice through the artifact cache (`qls_cache`) — cold (fresh cache
-//!    directory, includes the store writes) and warm (pre-populated
-//!    directory) — with `warm_vs_cold_build_speedup` recording the payoff
-//!    and `build_phase_generations_warm` / `build_fusion_passes_warm`
-//!    asserting (at 0) that the warm build regenerates nothing;
-//! 3. dense-unitary extraction (`circuit_unitary`), the verification hot
-//!    loop;
-//! 4. an end-to-end hybrid refinement solve (Algorithm 2, circuit mode):
-//!    fused vs unfused compile-once vs the recompile-per-iteration baseline,
-//!    plus the circuit-compile counts (from the thread-local
-//!    `qls_sim::circuit_compile_count`);
-//! 5. the multi-RHS workload: one refiner, many right-hand sides — batched
-//!    (`HybridRefiner::solve_many`) vs a sequential loop of `solve`;
-//! 6. the structured-operator residual workload (`sparse_residual`): the
-//!    refinement-loop hot path `r = b − A x` on the 2-D Poisson problem
-//!    through the dense matrix, the CSR operator and the matrix-free stencil
-//!    — the O(N²) vs O(nnz) comparison of the operator layer, at N = 4096
-//!    and N = 16384 on the full preset;
-//! 7. the structured-inner-solve workloads: the classical refiner through the
-//!    inner solver selected by `FactorizableOperator::factorize` — Thomas vs
-//!    the retained densify-LU oracle on 1-D Poisson (N = 16384 on the full
-//!    preset, with a solution-agreement guard), matrix-free Jacobi-CG on 3-D
-//!    Poisson (`StencilNd`), Jacobi-BiCGSTAB on nonsymmetric
-//!    convection-diffusion, and Jacobi-CG on a shifted graph Laplacian at
-//!    N ~ 10^5;
-//! 8. the fault-injected recovery workload (`noisy_refinement_recovery`):
-//!    the hybrid refiner under a seeded `FaultPlan` (amplitude noise + one
-//!    scheduled transient) with the full `RecoveryPolicy` ladder armed, vs
-//!    the same solve clean — the measured overhead of self-healing, plus
-//!    the recovery-event count and final status;
-//! 9. the Fig. 4 large-κ workload (`fig4_large_kappa`): the hybrid solve at
-//!    κ = 100/200/300 with ε_l·κ = 1/4 (emulation path) — condition number,
-//!    polynomial degree, iteration count and solve seconds per κ;
-//! 10. the sharded-execution workload (`sharded_vs_flat`): the random
-//!     mixed-gate circuit through the sharded register engine
-//!     (`qls_sim::shard`, 4 shards) vs the flat engine, with the
-//!     deterministic static-model execution plan (shard-local/exchanged/flat
-//!     op counts, exchange rounds, per-shard bytes) and the QSVT circuit's
-//!     exchange rounds with and without the low-support fusion preference —
-//!     the binary asserts the preference retires at least one round.
+//! 1. `random_circuit` — a random mixed-gate circuit on 16 qubits (the
+//!    simulator hot path): specialized kernels vs the retained generic
+//!    reference path and vs the scalar kernel bodies, all pinned to one
+//!    thread, plus the kernel path at the machine's full thread count;
+//! 2. `qsvt_solve_circuit_mode` — a gate-level QSVT solve on the paper's
+//!    4-qubit (N = 16) test system (Section IV): fused vs unfused
+//!    compile-once vs the uncached per-call path, and the build cold vs warm
+//!    through the artifact cache (`qls_cache`);
+//! 3. `circuit_unitary` — dense-unitary extraction, the verification loop;
+//! 4. `hybrid_refinement_circuit_mode` — an end-to-end hybrid refinement
+//!    solve (Algorithm 2, circuit mode), fused vs unfused compile-once;
+//! 5. `multi_rhs_refinement` — one refiner, many right-hand sides: batched
+//!    `solve_many` vs a sequential loop of `solve`;
+//! 6. `sparse_residual` — the refinement-loop residual `r = b − A x` on the
+//!    2-D Poisson problem through the dense matrix, the CSR operator and the
+//!    matrix-free stencil (N = 4096 and N = 16384 on the full preset);
+//! 7. the structured inner solves of the classical refiner:
+//!    `structured_inner_solve` (Thomas vs the densify-LU oracle on 1-D
+//!    Poisson), `poisson3d_refinement` (Jacobi-CG),
+//!    `convection_diffusion_refinement` (Jacobi-BiCGSTAB) and
+//!    `graph_laplacian_refinement` (Jacobi-CG at N ~ 10^5);
+//! 8. `noisy_refinement_recovery` — the hybrid refiner under a seeded
+//!    `FaultPlan` with the full `RecoveryPolicy` ladder armed, vs clean;
+//! 9. `fig4_large_kappa` — the Fig. 4 hybrid solves at κ = 100/200/300 with
+//!    ε_l·κ = 1/4 (emulation path), one record per κ;
+//! 10. `sharded_vs_flat` — the random circuit through the 4-shard register
+//!     engine vs the flat engine, with the static-model execution plan and
+//!     the QSVT circuit's exchange rounds with and without the low-support
+//!     fusion preference.
 //!
-//! Kernel-bound workloads additionally report `simd_vs_scalar_speedup` —
-//! the vectorized kernel bodies against their bit-identical scalar oracles
-//! (`with_scalar_kernels` for the statevector, `matvec_scalar` for CSR),
-//! pinned to one thread — and the random-circuit workload records the
-//! static vs micro-calibrated fused op counts (`calibrated_fusion_ops`).
-//! Parallel workloads carry `machine_threads` and a
-//! `parallel_speedup_meaningful` flag (false on 1-thread machines, where
-//! the ~1.0 ratios would otherwise read as regressions).
+//! Every record is declared field by field with `record!`, so each field
+//! exists by construction, and the binary asserts its own invariants: the
+//! structured paths agree with their oracles, the warm build regenerates
+//! nothing, the compile-once refinement loop never recompiles, the recovery
+//! ladder acts and reaches the target, and the fusion preference retires an
+//! exchange round.  Each record is also logged as one compact JSON line on
+//! stderr.
 //!
 //! Usage: `bench_json [--preset small|full] [--out PATH] [--compare BASELINE]`.
 //! The `small` preset shrinks every workload so CI can validate the artifact
@@ -79,24 +55,35 @@
 
 use qls_bench::{experiment_rng, layered_circuit, paper_test_system, random_circuit};
 use qls_cache::{with_cache_dir, CachePolicy};
-use qls_core::HybridStatus;
-use qls_core::{HybridRefinementOptions, HybridRefiner, QsvtSolverOptions};
+use qls_core::refine::RecoveryPolicy;
+use qls_core::{HybridRefinementOptions, HybridRefiner, HybridStatus, QsvtSolverOptions};
 use qls_linalg::{
     convection_diffusion_2d, poisson_1d, poisson_2d, poisson_3d, random_connected_graph,
-    shifted_graph_laplacian, ClassicalRefiner, RefinementOptions, SparseMatrix, StencilNd,
+    shifted_graph_laplacian, ClassicalRefiner, Matrix, RefinementOptions, SparseMatrix, StencilNd,
     TridiagonalMatrix, Vector,
 };
 use qls_qsvt::{phase_generation_count, QsvtInverter, QsvtMode};
 use qls_sim::kernels::reference;
 use qls_sim::{
     calibration_count, circuit_compile_count, circuit_unitary, fusion_pass_count, optimize_circuit,
-    optimize_circuit_for, sharding_stats, with_scalar_kernels, ExecMode, FusionOptions, OptLevel,
-    QuantumExecutor, ShardedCircuit, StateVector,
+    optimize_circuit_for, sharding_stats, with_scalar_kernels, ExecMode, FaultInjector, FaultPlan,
+    FusionOptions, OptLevel, QuantumExecutor, ShardedCircuit, StateVector, TransientKind,
 };
 use rayon::ThreadPoolBuilder;
-use serde::{parse_json, Value};
-use std::fmt::Write as _;
+use serde::{parse_json, to_json_string, Value};
 use std::time::Instant;
+
+/// `record!("workload", field: value, …)` declares one artifact record: a
+/// JSON object whose `name` is the workload, then one entry per field, in
+/// order.  Without the leading name it declares a plain object.
+macro_rules! record {
+    ($name:literal, $($field:ident: $value:expr),+ $(,)?) => {
+        record!(name: $name, $($field: $value),+)
+    };
+    ($($field:ident: $value:expr),+ $(,)?) => {
+        Value::Map(vec![$((stringify!($field).to_string(), serde::to_value(&$value))),+])
+    };
+}
 
 struct Preset {
     name: &'static str,
@@ -245,22 +232,87 @@ fn main() {
         }
     }
 
-    let machine_threads = rayon::current_num_threads();
     // On a 1-thread machine the parallel-vs-sequential ratios measure
-    // nothing but noise (~1.0); the JSON carries this flag per parallel
-    // workload so a trajectory reader never mistakes them for regressions.
-    let parallel_meaningful = machine_threads > 1;
+    // nothing but noise (~1.0); every parallel workload records
+    // `parallel_speedup_meaningful` so a trajectory reader never mistakes
+    // them for regressions.
+    let threads = rayon::current_num_threads();
     eprintln!(
-        "bench_json: preset = {}, machine threads = {machine_threads}{}",
+        "bench_json: preset = {}, machine threads = {threads}{}",
         preset.name,
-        if parallel_meaningful {
+        if threads > 1 {
             ""
         } else {
             " (parallel speedups not meaningful at 1 thread)"
         }
     );
 
-    // -- Workload 1: random mixed-gate circuit (the hot path) ---------------
+    // The paper's test system, shared by the QSVT and hybrid workloads.
+    let (a, b) = paper_test_system(preset.qsvt_n, preset.qsvt_kappa, 1);
+    let p = &preset;
+    let mut workloads = Vec::new();
+    emit(&mut workloads, [random_circuit_workload(p, threads)]);
+    let (record, inverter) = qsvt_solve_workload(p, &a, &b);
+    emit(&mut workloads, [record]);
+    emit(&mut workloads, [circuit_unitary_workload(p)]);
+    let (record, refiner) = hybrid_refinement_workload(p, &a, &b);
+    emit(&mut workloads, [record]);
+    emit(&mut workloads, [multi_rhs_workload(p, &refiner, threads)]);
+    emit(&mut workloads, sparse_residual_workloads(p));
+    emit(&mut workloads, structured_inner_solve_workloads(p));
+    emit(&mut workloads, [noisy_recovery_workload(p, &a, &b)]);
+    emit(&mut workloads, fig4_large_kappa_workloads(p));
+    emit(&mut workloads, [sharded_workload(p, &inverter, threads)]);
+
+    let unix_seconds = std::time::SystemTime::now()
+        .duration_since(std::time::UNIX_EPOCH)
+        .map(|d| d.as_secs())
+        .unwrap_or(0);
+    let doc = record!(
+        schema: "qls-bench/simulator/v1",
+        preset: preset.name,
+        unix_seconds: unix_seconds,
+        machine_threads: threads,
+        workloads: workloads,
+    );
+    let json = to_json_string(&doc) + "\n";
+    std::fs::write(&out_path, &json).expect("write benchmark JSON");
+    eprintln!("bench_json: wrote {out_path}");
+    print!("{json}");
+
+    // -- Perf-regression gate (--compare) ------------------------------------
+    if let Some(baseline_path) = compare_path {
+        let baseline = std::fs::read_to_string(&baseline_path)
+            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
+        let violations = compare_against_baseline(&json, &baseline);
+        if violations.is_empty() {
+            eprintln!("bench_json: no perf regressions against {baseline_path}");
+        } else {
+            eprintln!(
+                "bench_json: {} perf regression(s) against {baseline_path}:",
+                violations.len()
+            );
+            for v in &violations {
+                eprintln!("  REGRESSION: {v}");
+            }
+            std::process::exit(1);
+        }
+    }
+}
+
+/// Log each record on stderr (its name, then its compact JSON) and append it
+/// to the artifact's workload list.
+fn emit(workloads: &mut Vec<Value>, records: impl IntoIterator<Item = Value>) {
+    for record in records {
+        if let Some(Value::Str(name)) = record.get("name") {
+            eprintln!("  {name}: {}", to_json_string(&record));
+        }
+        workloads.push(record);
+    }
+}
+
+/// Workload 1: random mixed-gate circuit (the hot path).
+fn random_circuit_workload(preset: &Preset, threads: usize) -> Value {
     let circ = random_circuit(preset.random_qubits, preset.random_ops, 20260728);
     let n = preset.random_qubits;
     let (kernel_1t, scalar_1t) = single_thread_pool().install(|| {
@@ -286,38 +338,44 @@ fn main() {
     let kernel_nt = time_min(preset.random_reps, || {
         std::hint::black_box(StateVector::run(&circ));
     });
-    let kernel_speedup = generic_1t / kernel_1t;
-    let simd_speedup = scalar_1t / kernel_1t;
-    let parallel_speedup = kernel_1t / kernel_nt;
     // Static vs micro-calibrated fusion pricing on the same circuit; the
-    // calibration-cache counter shows the measured model timed its kernel
-    // classes at most once per register size.
-    let static_fusion_ops = optimize_circuit(&circ, &FusionOptions::default()).len();
-    let calibrated_fusion_ops = optimize_circuit(&circ, &FusionOptions::measured()).len();
-    let fusion_calibrations = calibration_count();
-    eprintln!(
-        "  random_{n}q: kernel {kernel_1t:.4}s, scalar {scalar_1t:.4}s \
-         ({simd_speedup:.2}x simd), generic {generic_1t:.4}s \
-         ({kernel_speedup:.1}x), {machine_threads}-thread {kernel_nt:.4}s \
-         ({parallel_speedup:.2}x scaling); fusion {static_fusion_ops} static \
-         -> {calibrated_fusion_ops} calibrated ops ({fusion_calibrations} calibrations)"
-    );
+    // calibration-cache counter (read after both) shows the measured model
+    // timed its kernel classes at most once per register size.
+    record!("random_circuit",
+        qubits: n,
+        ops: preset.random_ops,
+        kernel_single_thread_seconds: kernel_1t,
+        scalar_single_thread_seconds: scalar_1t,
+        simd_vs_scalar_speedup: scalar_1t / kernel_1t,
+        generic_single_thread_seconds: generic_1t,
+        kernel_parallel_seconds: kernel_nt,
+        kernel_vs_generic_speedup: generic_1t / kernel_1t,
+        machine_threads: threads,
+        parallel_speedup_meaningful: threads > 1,
+        parallel_vs_single_thread_speedup: kernel_1t / kernel_nt,
+        static_fusion_ops: optimize_circuit(&circ, &FusionOptions::default()).len(),
+        calibrated_fusion_ops: optimize_circuit(&circ, &FusionOptions::measured()).len(),
+        fusion_calibrations: calibration_count(),
+    )
+}
 
-    // -- Workload 2: QSVT solve on the paper's test system ------------------
-    // Three engines: fused compile-once (the default), unoptimized
-    // compile-once (`OptLevel::None`), and the retained uncached per-call
-    // oracle.  `solve_seconds` keeps its historical meaning (unoptimized
-    // compile-once) so the perf trajectory stays comparable across PRs.
-    //
-    // The build is timed through the artifact cache, hermetically (a bench
-    // temp directory, so the run never reads or pollutes the user's
-    // `~/.cache/qls`): `build_seconds` keeps its historical from-scratch
-    // meaning — each rep sees a fresh empty directory (and now also pays the
-    // store writes) — while `build_seconds_warm` rebuilds against a
-    // pre-populated directory, where phase factors and the fused circuit are
-    // disk reads.  The thread-local generation counters pin the warm path to
-    // exactly zero phase-factor generations and zero fusion passes.
-    let (a, b) = paper_test_system(preset.qsvt_n, preset.qsvt_kappa, 1);
+/// Workload 2: QSVT solve on the paper's test system.
+///
+/// Three engines: fused compile-once (the default), unoptimized compile-once
+/// (`OptLevel::None`), and the retained uncached per-call oracle.
+/// `solve_seconds` keeps its historical meaning (unoptimized compile-once)
+/// so the perf trajectory stays comparable across PRs.
+///
+/// The build is timed through the artifact cache, hermetically (a bench
+/// temp directory, so the run never reads or pollutes the user's
+/// `~/.cache/qls`): `build_seconds` keeps its historical from-scratch
+/// meaning — each rep sees a fresh empty directory (and also pays the store
+/// writes) — while `build_seconds_warm` rebuilds against a pre-populated
+/// directory, where phase factors and the fused circuit are disk reads.
+///
+/// Returns the record and the fused engine, which the sharded workload
+/// reuses for its QSVT circuit.
+fn qsvt_solve_workload(preset: &Preset, a: &Matrix<f64>, b: &Vector<f64>) -> (Value, QsvtInverter) {
     let bench_cache_root =
         std::env::temp_dir().join(format!("qls-bench-cache-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&bench_cache_root);
@@ -327,7 +385,7 @@ fn main() {
         let dir = bench_cache_root.join(format!("cold-{cold_rep}"));
         with_cache_dir(dir, || {
             std::hint::black_box(
-                QsvtInverter::new(&a, preset.qsvt_eps, QsvtMode::CircuitReal)
+                QsvtInverter::new(a, preset.qsvt_eps, QsvtMode::CircuitReal)
                     .expect("QSVT inverter construction"),
             );
         });
@@ -337,17 +395,17 @@ fn main() {
         with_cache_dir(warm_dir, || {
             // Populate the directory, keeping this (cache-built) engine for
             // the solve measurements below.
-            let inverter = QsvtInverter::new(&a, preset.qsvt_eps, QsvtMode::CircuitReal)
+            let inverter = QsvtInverter::new(a, preset.qsvt_eps, QsvtMode::CircuitReal)
                 .expect("QSVT inverter construction");
             let (p0, f0) = (phase_generation_count(), fusion_pass_count());
             let warm = time_min(3, || {
                 std::hint::black_box(
-                    QsvtInverter::new(&a, preset.qsvt_eps, QsvtMode::CircuitReal)
+                    QsvtInverter::new(a, preset.qsvt_eps, QsvtMode::CircuitReal)
                         .expect("warm QSVT inverter construction"),
                 );
             });
             let unfused_inverter = QsvtInverter::with_config(
-                &a,
+                a,
                 preset.qsvt_eps,
                 QsvtMode::CircuitReal,
                 OptLevel::None,
@@ -363,7 +421,7 @@ fn main() {
                 fusion_pass_count() - f0,
             )
         });
-    let warm_build_speedup = qsvt_build / qsvt_build_warm;
+    let _ = std::fs::remove_dir_all(&bench_cache_root);
     assert_eq!(
         warm_phase_gens, 0,
         "warm build must not regenerate phase factors"
@@ -372,145 +430,157 @@ fn main() {
         warm_fusion_passes, 0,
         "warm build must not rerun the fusion pass"
     );
-    let degree = inverter.resources().degree;
     let fusion = *inverter.circuit_stats().expect("fusion stats");
     let qsvt_solve_fused = time_min(3, || {
-        std::hint::black_box(inverter.solve_direction(&b).expect("fused QSVT solve"));
+        std::hint::black_box(inverter.solve_direction(b).expect("fused QSVT solve"));
     });
     let qsvt_solve = time_min(3, || {
         std::hint::black_box(
             unfused_inverter
-                .solve_direction(&b)
+                .solve_direction(b)
                 .expect("unfused QSVT solve"),
         );
     });
     let qsvt_solve_uncached = time_min(3, || {
         std::hint::black_box(
             inverter
-                .solve_direction_uncached(&b)
+                .solve_direction_uncached(b)
                 .expect("uncached QSVT solve"),
         );
     });
-    let qsvt_solve_speedup = qsvt_solve_uncached / qsvt_solve;
-    let qsvt_fused_speedup = qsvt_solve / qsvt_solve_fused;
     // SIMD vs scalar kernel bodies on the same fused engine, pinned to one
     // thread so the ratio is pure kernel-body arithmetic.
     let (qsvt_simd_1t, qsvt_scalar_1t) = single_thread_pool().install(|| {
         time_min_pair(
             3,
             || {
-                std::hint::black_box(inverter.solve_direction(&b).expect("simd QSVT solve"));
+                std::hint::black_box(inverter.solve_direction(b).expect("simd QSVT solve"));
             },
             || {
                 with_scalar_kernels(|| {
-                    std::hint::black_box(inverter.solve_direction(&b).expect("scalar QSVT solve"));
+                    std::hint::black_box(inverter.solve_direction(b).expect("scalar QSVT solve"));
                 })
             },
         )
     });
-    let qsvt_simd_speedup = qsvt_scalar_1t / qsvt_simd_1t;
-    eprintln!(
-        "  qsvt_solve n={} kappa={} eps={:.0e}: degree {degree}, build cold {qsvt_build:.4}s \
-         vs warm {qsvt_build_warm:.4}s ({warm_build_speedup:.1}x, {warm_phase_gens} phase \
-         generations / {warm_fusion_passes} fusion passes warm), \
-         fused solve {qsvt_solve_fused:.4}s, unfused {qsvt_solve:.4}s \
-         ({qsvt_fused_speedup:.1}x fusion), uncached {qsvt_solve_uncached:.4}s \
-         ({qsvt_solve_speedup:.1}x compile-once), simd {qsvt_simd_1t:.4}s vs \
-         scalar {qsvt_scalar_1t:.4}s ({qsvt_simd_speedup:.2}x); \
-         fusion {} -> {} ops ({:.1}x)",
-        preset.qsvt_n,
-        preset.qsvt_kappa,
-        preset.qsvt_eps,
-        fusion.raw_ops,
-        fusion.fused_ops,
-        fusion.op_reduction()
+    let record = record!("qsvt_solve_circuit_mode",
+        matrix_size: preset.qsvt_n,
+        kappa: preset.qsvt_kappa,
+        epsilon: preset.qsvt_eps,
+        polynomial_degree: inverter.resources().degree,
+        build_seconds: qsvt_build,
+        build_seconds_warm: qsvt_build_warm,
+        warm_vs_cold_build_speedup: qsvt_build / qsvt_build_warm,
+        build_phase_generations_warm: warm_phase_gens,
+        build_fusion_passes_warm: warm_fusion_passes,
+        solve_seconds: qsvt_solve,
+        fused_solve_seconds: qsvt_solve_fused,
+        fused_vs_unfused_speedup: qsvt_solve / qsvt_solve_fused,
+        uncached_solve_seconds: qsvt_solve_uncached,
+        compile_once_vs_uncached_speedup: qsvt_solve_uncached / qsvt_solve,
+        simd_solve_seconds: qsvt_simd_1t,
+        scalar_solve_seconds: qsvt_scalar_1t,
+        simd_vs_scalar_speedup: qsvt_scalar_1t / qsvt_simd_1t,
+        raw_circuit_ops: fusion.raw_ops,
+        fused_circuit_ops: fusion.fused_ops,
+        fusion_op_reduction: fusion.op_reduction(),
     );
+    (record, inverter)
+}
 
-    // -- Workload 3: dense-unitary extraction -------------------------------
+/// Workload 3: dense-unitary extraction.
+fn circuit_unitary_workload(preset: &Preset) -> Value {
     let ucirc = layered_circuit(preset.unitary_qubits, preset.unitary_layers);
     let unitary_secs = time_min(2, || {
         std::hint::black_box(circuit_unitary(&ucirc));
     });
-    eprintln!(
-        "  circuit_unitary {}q x {} layers: {unitary_secs:.4}s",
-        preset.unitary_qubits, preset.unitary_layers
-    );
+    record!("circuit_unitary",
+        qubits: preset.unitary_qubits,
+        layers: preset.unitary_layers,
+        seconds: unitary_secs,
+    )
+}
 
-    // -- Workload 4: end-to-end hybrid refinement (Algorithm 2) -------------
-    // Fused compile-once (the default: optimized QSVT circuit compiled in
-    // `new`, reused by every iteration) vs the unoptimized compile-once
-    // engine vs the retained recompile-per-iteration baseline.  All refiners
-    // are built outside the timed region: the comparison isolates what the
-    // solve itself pays.  `compile_once_seconds` keeps its historical
-    // meaning (unoptimized compile-once).
-    let refine_options = |opt_level: OptLevel, recompile_baseline: bool| HybridRefinementOptions {
+/// Workload 4: end-to-end hybrid refinement (Algorithm 2).
+///
+/// Fused compile-once (the default: optimized QSVT circuit compiled in
+/// `new`, reused by every iteration) vs the unoptimized compile-once engine.
+/// Both refiners are built outside the timed region: the comparison
+/// isolates what the solve itself pays.  `compile_once_seconds` keeps its
+/// historical meaning (unoptimized compile-once).
+///
+/// Returns the record and the fused refiner, which the multi-RHS workload
+/// reuses.
+fn hybrid_refinement_workload(
+    preset: &Preset,
+    a: &Matrix<f64>,
+    b: &Vector<f64>,
+) -> (Value, HybridRefiner) {
+    let refine_options = |opt_level: OptLevel| HybridRefinementOptions {
         target_epsilon: preset.refine_target,
         epsilon_l: preset.qsvt_eps,
         solver: QsvtSolverOptions {
             mode: QsvtMode::CircuitReal,
             opt_level,
-            recompile_baseline,
             ..Default::default()
         },
         ..Default::default()
     };
     let fused_refiner =
-        HybridRefiner::new(&a, refine_options(OptLevel::Fuse, false)).expect("fused refiner");
-    let compile_once_refiner = HybridRefiner::new(&a, refine_options(OptLevel::None, false))
-        .expect("compile-once refiner");
-    let recompile_refiner =
-        HybridRefiner::new(&a, refine_options(OptLevel::None, true)).expect("recompile refiner");
+        HybridRefiner::new(a, refine_options(OptLevel::Fuse)).expect("fused refiner");
+    let compile_once_refiner =
+        HybridRefiner::new(a, refine_options(OptLevel::None)).expect("compile-once refiner");
     let mut rng = experiment_rng(2);
-    let (_, history) = fused_refiner.solve(&b, &mut rng).expect("refinement solve");
-    let refine_iterations = history.iterations();
+    let (_, history) = fused_refiner.solve(b, &mut rng).expect("refinement solve");
     let compiles_before = circuit_compile_count();
-    let _ = fused_refiner.solve(&b, &mut rng).expect("solve");
+    let _ = fused_refiner.solve(b, &mut rng).expect("solve");
     let compile_once_compiles = circuit_compile_count() - compiles_before;
-    let compiles_before = circuit_compile_count();
-    let _ = recompile_refiner.solve(&b, &mut rng).expect("solve");
-    let recompile_compiles = circuit_compile_count() - compiles_before;
+    assert_eq!(
+        compile_once_compiles, 0,
+        "the compile-once refinement loop must not recompile the circuit"
+    );
     let refine_fused = time_min(preset.refine_reps, || {
         let mut rng = experiment_rng(3);
-        std::hint::black_box(fused_refiner.solve(&b, &mut rng).expect("solve"));
+        std::hint::black_box(fused_refiner.solve(b, &mut rng).expect("solve"));
     });
     let refine_compile_once = time_min(preset.refine_reps, || {
         let mut rng = experiment_rng(3);
-        std::hint::black_box(compile_once_refiner.solve(&b, &mut rng).expect("solve"));
+        std::hint::black_box(compile_once_refiner.solve(b, &mut rng).expect("solve"));
     });
-    let refine_recompile = time_min(preset.refine_reps, || {
-        let mut rng = experiment_rng(3);
-        std::hint::black_box(recompile_refiner.solve(&b, &mut rng).expect("solve"));
-    });
-    let refine_speedup = refine_recompile / refine_compile_once;
-    let refine_fused_speedup = refine_compile_once / refine_fused;
     let (refine_simd_1t, refine_scalar_1t) = single_thread_pool().install(|| {
         time_min_pair(
             preset.refine_reps,
             || {
                 let mut rng = experiment_rng(3);
-                std::hint::black_box(fused_refiner.solve(&b, &mut rng).expect("solve"));
+                std::hint::black_box(fused_refiner.solve(b, &mut rng).expect("solve"));
             },
             || {
                 with_scalar_kernels(|| {
                     let mut rng = experiment_rng(3);
-                    std::hint::black_box(fused_refiner.solve(&b, &mut rng).expect("solve"));
+                    std::hint::black_box(fused_refiner.solve(b, &mut rng).expect("solve"));
                 })
             },
         )
     });
-    let refine_simd_speedup = refine_scalar_1t / refine_simd_1t;
-    eprintln!(
-        "  hybrid_refinement n={} kappa={} eps_l={:.0e} target={:.0e}: \
-         {refine_iterations} iterations, fused {refine_fused:.4}s \
-         ({refine_fused_speedup:.1}x over unfused, {compile_once_compiles} circuit compiles \
-         in the loop), unfused compile-once {refine_compile_once:.4}s, \
-         recompile {refine_recompile:.4}s ({recompile_compiles} compiles) — \
-         {refine_speedup:.1}x compile-once; simd {refine_simd_1t:.4}s vs \
-         scalar {refine_scalar_1t:.4}s ({refine_simd_speedup:.2}x)",
-        preset.qsvt_n, preset.qsvt_kappa, preset.qsvt_eps, preset.refine_target
+    let record = record!("hybrid_refinement_circuit_mode",
+        matrix_size: preset.qsvt_n,
+        kappa: preset.qsvt_kappa,
+        epsilon_l: preset.qsvt_eps,
+        target_epsilon: preset.refine_target,
+        iterations: history.iterations(),
+        compile_once_seconds: refine_compile_once,
+        fused_solve_seconds: refine_fused,
+        fused_vs_unfused_speedup: refine_compile_once / refine_fused,
+        simd_solve_seconds: refine_simd_1t,
+        scalar_solve_seconds: refine_scalar_1t,
+        simd_vs_scalar_speedup: refine_scalar_1t / refine_simd_1t,
+        compile_once_circuit_compiles: compile_once_compiles,
     );
+    (record, fused_refiner)
+}
 
-    // -- Workload 5: multi-RHS — batched vs sequential solves ---------------
+/// Workload 5: multi-RHS — batched vs sequential solves.
+fn multi_rhs_workload(preset: &Preset, refiner: &HybridRefiner, threads: usize) -> Value {
     let bs: Vec<Vector<f64>> = {
         let mut rng = experiment_rng(4);
         (0..preset.multi_rhs)
@@ -519,36 +589,37 @@ fn main() {
     };
     let batched_secs = time_min(preset.refine_reps, || {
         let mut rng = experiment_rng(5);
-        std::hint::black_box(
-            fused_refiner
-                .solve_many(&bs, &mut rng)
-                .expect("batched solve"),
-        );
+        std::hint::black_box(refiner.solve_many(&bs, &mut rng).expect("batched solve"));
     });
     let sequential_secs = time_min(preset.refine_reps, || {
         let mut rng = experiment_rng(5);
         for b in &bs {
-            std::hint::black_box(fused_refiner.solve(b, &mut rng).expect("solve"));
+            std::hint::black_box(refiner.solve(b, &mut rng).expect("solve"));
         }
     });
-    let batch_speedup = sequential_secs / batched_secs;
-    eprintln!(
-        "  multi_rhs {} right-hand sides: batched {batched_secs:.4}s, \
-         sequential {sequential_secs:.4}s ({batch_speedup:.2}x)",
-        preset.multi_rhs
-    );
+    record!("multi_rhs_refinement",
+        matrix_size: preset.qsvt_n,
+        num_rhs: preset.multi_rhs,
+        batched_seconds: batched_secs,
+        sequential_seconds: sequential_secs,
+        machine_threads: threads,
+        parallel_speedup_meaningful: threads > 1,
+        batched_vs_sequential_speedup: sequential_secs / batched_secs,
+    )
+}
 
-    // -- Workload 6: structured-operator residual (dense vs CSR vs stencil) --
-    // The refinement-loop hot path r = b − A x on the 2-D Poisson problem.
-    // Dense pays O(N²) time (and memory: the N = 16384 matrix is ~2 GiB),
-    // the CSR and stencil operators pay O(nnz) — same floats out either way
-    // (the structured matvecs are bit-identical to the dense kernel).
-    let mut sparse_json = String::new();
+/// Workload 6: structured-operator residual (dense vs CSR vs stencil).
+///
+/// The refinement-loop hot path r = b − A x on the 2-D Poisson problem.
+/// Dense pays O(N²) time (and memory: the N = 16384 matrix is ~2 GiB), the
+/// CSR and stencil operators pay O(nnz) — same floats out either way (the
+/// structured matvecs are bit-identical to the dense kernel).
+fn sparse_residual_workloads(preset: &Preset) -> Vec<Value> {
+    let mut records = Vec::new();
     for &g in &preset.sparse_grids {
         let n = g * g;
         let stencil = poisson_2d::<f64>(g, g, false);
         let csr = stencil.to_sparse();
-        let nnz = csr.nnz();
         let x: Vector<f64> = (0..n).map(|i| ((i % 101) as f64 / 101.0) - 0.5).collect();
         let b: Vector<f64> = (0..n).map(|i| ((i % 89) as f64 / 89.0) - 0.5).collect();
         // The SpMV's scalar oracle (`matvec_scalar`) is timed interleaved
@@ -585,52 +656,42 @@ fn main() {
             reference.as_slice(),
             "stencil residual must be bit-identical to dense"
         );
-        let csr_speedup = dense_secs / csr_secs;
-        let csr_simd_speedup = csr_scalar_secs / csr_secs;
-        let stencil_speedup = dense_secs / stencil_secs;
-        eprintln!(
-            "  sparse_residual N={n} (grid {g}x{g}, nnz {nnz}): dense {dense_secs:.6}s, \
-             csr {csr_secs:.6}s ({csr_speedup:.1}x, {csr_simd_speedup:.2}x over scalar \
-             {csr_scalar_secs:.6}s), stencil {stencil_secs:.6}s ({stencil_speedup:.1}x)"
-        );
-        let _ = write!(
-            sparse_json,
-            r#",
-    {{
-      "name": "sparse_residual",
-      "matrix_size": {n},
-      "grid": {g},
-      "nnz": {nnz},
-      "dense_residual_seconds": {dense_secs:.6},
-      "csr_residual_seconds": {csr_secs:.6},
-      "csr_scalar_residual_seconds": {csr_scalar_secs:.6},
-      "simd_vs_scalar_speedup": {csr_simd_speedup:.3},
-      "stencil_residual_seconds": {stencil_secs:.6},
-      "csr_vs_dense_speedup": {csr_speedup:.3},
-      "stencil_vs_dense_speedup": {stencil_speedup:.3}
-    }}"#
-        );
+        records.push(record!("sparse_residual",
+            matrix_size: n,
+            grid: g,
+            nnz: csr.nnz(),
+            dense_residual_seconds: dense_secs,
+            csr_residual_seconds: csr_secs,
+            csr_scalar_residual_seconds: csr_scalar_secs,
+            simd_vs_scalar_speedup: csr_scalar_secs / csr_secs,
+            stencil_residual_seconds: stencil_secs,
+            csr_vs_dense_speedup: dense_secs / csr_secs,
+            stencil_vs_dense_speedup: dense_secs / stencil_secs,
+        ));
     }
+    records
+}
 
-    // -- Workload 7: structured inner solvers (the end of the densify wall) --
-    // The whole classical refiner — factorisation *and* solve — through the
-    // structured inner solver selected by `FactorizableOperator::factorize`
-    // vs the retained densify + dense-LU oracle.  On the 1-D Poisson problem
-    // the comparison is Thomas (O(N)) vs a densified O(N²) factorisation; at
-    // N = 16384 the dense copy alone is ~2 GiB.  Both paths refine to the
-    // same target, and an agreement guard pins their solutions together.
-    let mut structured_json = String::new();
-    {
+/// Workload 7: structured inner solvers (the end of the densify wall).
+///
+/// The whole classical refiner — factorisation *and* solve — through the
+/// structured inner solver selected by `FactorizableOperator::factorize`.
+fn structured_inner_solve_workloads(preset: &Preset) -> Vec<Value> {
+    let opts = RefinementOptions {
+        target_scaled_residual: 1e-12,
+        max_iterations: 40,
+        ..Default::default()
+    };
+
+    // Thomas (O(N)) vs the retained densify + dense-LU oracle (O(N²)) on the
+    // 1-D Poisson problem; at N = 16384 the dense copy alone is ~2 GiB.  Both
+    // paths refine to the same target, and an agreement guard pins their
+    // solutions together.  f64 inner: at this size the 1-D Poisson kappa ~ N²
+    // overwhelms an f32 inner solve (epsilon_l * kappa > 1), so both sides
+    // run the uniform-precision configuration — the comparison is about the
+    // factorisation cost, not the precision gap.
+    let thomas = {
         let n = preset.inner_tridiag_n;
-        // f64 inner: at this size the 1-D Poisson kappa ~ N² overwhelms an
-        // f32 inner solve (epsilon_l * kappa > 1), so both sides run the
-        // uniform-precision configuration — the comparison is about the
-        // factorisation cost, not the precision gap.
-        let opts = RefinementOptions {
-            target_scaled_residual: 1e-12,
-            max_iterations: 40,
-            ..Default::default()
-        };
         let tri = poisson_1d::<f64>(n, false);
         let b: Vector<f64> = (0..n).map(|i| ((i % 97) as f64 / 97.0) - 0.5).collect();
         let solve_structured = || {
@@ -657,222 +718,153 @@ fn main() {
         let densify_secs = time_min(2, || {
             std::hint::black_box(solve_densify());
         });
-        let inner_speedup = densify_secs / structured_secs;
-        eprintln!(
-            "  structured_inner_solve N={n} (1-D Poisson, thomas vs densify-LU): \
-             structured {structured_secs:.6}s, densify-LU {densify_secs:.6}s \
-             ({inner_speedup:.1}x), agreement {agreement:.2e}"
-        );
-        let _ = write!(
-            structured_json,
-            r#",
-    {{
-      "name": "structured_inner_solve",
-      "matrix_size": {n},
-      "inner_solver": "thomas",
-      "structured_solve_seconds": {structured_secs:.6},
-      "densify_lu_solve_seconds": {densify_secs:.6},
-      "structured_vs_densify_speedup": {inner_speedup:.3},
-      "solution_agreement": {agreement:.3e}
-    }}"#
-        );
-    }
+        record!("structured_inner_solve",
+            matrix_size: n,
+            inner_solver: "thomas",
+            structured_solve_seconds: structured_secs,
+            densify_lu_solve_seconds: densify_secs,
+            structured_vs_densify_speedup: densify_secs / structured_secs,
+            solution_agreement: agreement,
+        )
+    };
 
     // 3-D Poisson through the d-dimensional stencil: matrix-free Jacobi-CG
     // inner solves at f32, true mixed precision (epsilon_l * kappa << 1).
-    {
+    let poisson3d = {
         let g = preset.poisson3d_grid;
         let n = g * g * g;
-        let opts = RefinementOptions {
-            target_scaled_residual: 1e-12,
-            max_iterations: 40,
-            ..Default::default()
-        };
         let a = poisson_3d::<f64>(g, g, g, false);
         let b: Vector<f64> = (0..n).map(|i| ((i % 89) as f64 / 89.0) - 0.5).collect();
         let refiner =
             ClassicalRefiner::<f64, f32, StencilNd<f64>>::new(&a, opts).expect("3-D refiner");
         let (_, history) = refiner.solve(&b).expect("3-D solve");
-        let iterations = history.iterations();
         let solve_secs = time_min(3, || {
             std::hint::black_box(refiner.solve(&b).expect("3-D solve"));
         });
-        eprintln!(
-            "  poisson3d_refinement N={n} (grid {g}^3, jacobi-cg inner): \
-             {solve_secs:.6}s, {iterations} iterations"
-        );
-        let _ = write!(
-            structured_json,
-            r#",
-    {{
-      "name": "poisson3d_refinement",
-      "matrix_size": {n},
-      "grid": {g},
-      "inner_solver": "jacobi-cg",
-      "iterations": {iterations},
-      "solve_seconds": {solve_secs:.6}
-    }}"#
-        );
-    }
+        record!("poisson3d_refinement",
+            matrix_size: n,
+            grid: g,
+            inner_solver: "jacobi-cg",
+            iterations: history.iterations(),
+            solve_seconds: solve_secs,
+        )
+    };
 
     // Nonsymmetric convection-diffusion: the BiCGSTAB inner path.
-    {
+    let convection_diffusion = {
         let g = preset.convdiff_grid;
         let n = g * g;
         let (px, py) = (0.5, 0.25);
-        let opts = RefinementOptions {
-            target_scaled_residual: 1e-12,
-            max_iterations: 40,
-            ..Default::default()
-        };
         let a = convection_diffusion_2d::<f64>(g, g, px, py);
         let b: Vector<f64> = (0..n).map(|i| ((i % 83) as f64 / 83.0) - 0.5).collect();
         let refiner =
             ClassicalRefiner::<f64, f32, SparseMatrix<f64>>::new(&a, opts).expect("cd refiner");
         let (_, history) = refiner.solve(&b).expect("cd solve");
-        let iterations = history.iterations();
         let solve_secs = time_min(3, || {
             std::hint::black_box(refiner.solve(&b).expect("cd solve"));
         });
-        eprintln!(
-            "  convection_diffusion_refinement N={n} (grid {g}x{g}, peclet ({px}, {py}), \
-             jacobi-bicgstab inner): {solve_secs:.6}s, {iterations} iterations"
-        );
-        let _ = write!(
-            structured_json,
-            r#",
-    {{
-      "name": "convection_diffusion_refinement",
-      "matrix_size": {n},
-      "grid": {g},
-      "peclet_x": {px},
-      "peclet_y": {py},
-      "inner_solver": "jacobi-bicgstab",
-      "iterations": {iterations},
-      "solve_seconds": {solve_secs:.6}
-    }}"#
-        );
-    }
+        record!("convection_diffusion_refinement",
+            matrix_size: n,
+            grid: g,
+            peclet_x: px,
+            peclet_y: py,
+            inner_solver: "jacobi-bicgstab",
+            iterations: history.iterations(),
+            solve_seconds: solve_secs,
+        )
+    };
 
     // Shifted graph Laplacian at N ~ 10^5: matrix-free CG at a scale where a
     // dense copy (N² doubles) would not even fit in memory comfortably.
-    {
+    let graph = {
         let n = preset.graph_n;
-        let opts = RefinementOptions {
-            target_scaled_residual: 1e-12,
-            max_iterations: 40,
-            ..Default::default()
-        };
         let edges = {
             let mut rng = experiment_rng(23);
             random_connected_graph(n, preset.graph_extra_edges, &mut rng)
         };
         let a: SparseMatrix<f64> = shifted_graph_laplacian(n, &edges, 0.5);
-        let nnz = a.nnz();
         let b: Vector<f64> = (0..n).map(|i| ((i % 79) as f64 / 79.0) - 0.5).collect();
         let refiner =
             ClassicalRefiner::<f64, f32, SparseMatrix<f64>>::new(&a, opts).expect("graph refiner");
         let (_, history) = refiner.solve(&b).expect("graph solve");
-        let iterations = history.iterations();
         let solve_secs = time_min(3, || {
             std::hint::black_box(refiner.solve(&b).expect("graph solve"));
         });
-        eprintln!(
-            "  graph_laplacian_refinement N={n} (nnz {nnz}, jacobi-cg inner): \
-             {solve_secs:.6}s, {iterations} iterations"
-        );
-        let _ = write!(
-            structured_json,
-            r#",
-    {{
-      "name": "graph_laplacian_refinement",
-      "matrix_size": {n},
-      "nnz": {nnz},
-      "inner_solver": "jacobi-cg",
-      "iterations": {iterations},
-      "solve_seconds": {solve_secs:.6}
-    }}"#
-        );
-    }
+        record!("graph_laplacian_refinement",
+            matrix_size: n,
+            nnz: a.nnz(),
+            inner_solver: "jacobi-cg",
+            iterations: history.iterations(),
+            solve_seconds: solve_secs,
+        )
+    };
+    vec![thomas, poisson3d, convection_diffusion, graph]
+}
 
-    // -- Workload 8: fault-injected refinement + recovery ladder -------------
-    // The robustness layer's overhead, measured: the same system solved
-    // clean (no injector, recovery armed but never consulted) and under a
-    // seeded fault plan (amplitude noise + one scheduled transient) that
-    // forces the ladder to act.  Emulation mode keeps the workload about
-    // the recovery machinery, not circuit execution.
-    let mut recovery_json = String::new();
-    {
-        use qls_core::refine::RecoveryPolicy;
-        use qls_sim::{FaultInjector, FaultPlan, TransientKind};
-        let options = HybridRefinementOptions {
-            target_epsilon: preset.refine_target,
-            epsilon_l: preset.qsvt_eps,
-            recovery: RecoveryPolicy::full(),
-            ..Default::default()
-        };
-        let clean_refiner = HybridRefiner::new(&a, options).expect("clean refiner");
-        let clean_secs = time_min(preset.refine_reps, || {
-            let mut rng = experiment_rng(6);
-            std::hint::black_box(clean_refiner.solve(&b, &mut rng).expect("clean solve"));
-        });
-        let plan = FaultPlan::new(41)
-            .with_amplitude_noise(1e-4)
-            .with_transient(1, TransientKind::InjectedError);
-        let make_faulted = || {
-            let mut refiner = HybridRefiner::new(&a, options).expect("faulted refiner");
-            refiner.attach_fault_injector(FaultInjector::shared(plan.clone()));
-            refiner
-        };
-        let (_, history) = {
-            let refiner = make_faulted();
-            let mut rng = experiment_rng(6);
-            refiner.solve(&b, &mut rng).expect("recovered solve")
-        };
-        let recovery_events = history.recovery.len();
-        let status = format!("{:?}", history.status);
-        assert!(
-            history.status.reached_target(),
-            "the ladder must absorb the benchmark fault plan: {status}"
-        );
-        assert!(recovery_events > 0, "the plan must trigger the ladder");
-        let recovered_secs = time_min(preset.refine_reps, || {
-            // A fresh injector per run replays the exact same fault stream.
-            let refiner = make_faulted();
-            let mut rng = experiment_rng(6);
-            std::hint::black_box(refiner.solve(&b, &mut rng).expect("recovered solve"));
-        });
-        let recovery_overhead = recovered_secs / clean_secs;
-        eprintln!(
-            "  noisy_refinement_recovery n={} (sigma 1e-4, transient at run 1): \
-             clean {clean_secs:.6}s, recovered {recovered_secs:.6}s \
-             ({recovery_overhead:.2}x), {recovery_events} recovery events, status {status}",
-            preset.qsvt_n
-        );
-        let _ = write!(
-            recovery_json,
-            r#",
-    {{
-      "name": "noisy_refinement_recovery",
-      "matrix_size": {qsvt_n},
-      "amplitude_sigma": 1e-4,
-      "clean_solve_seconds": {clean_secs:.6},
-      "recovered_solve_seconds": {recovered_secs:.6},
-      "recovery_overhead": {recovery_overhead:.3},
-      "recovery_events": {recovery_events},
-      "final_status": "{status}"
-    }}"#,
-            qsvt_n = preset.qsvt_n,
-        );
-    }
+/// Workload 8: fault-injected refinement + recovery ladder.
+///
+/// The robustness layer's overhead, measured: the same system solved clean
+/// (no injector, recovery armed but never consulted) and under a seeded
+/// fault plan (amplitude noise + one scheduled transient) that forces the
+/// ladder to act.  Emulation mode keeps the workload about the recovery
+/// machinery, not circuit execution.
+fn noisy_recovery_workload(preset: &Preset, a: &Matrix<f64>, b: &Vector<f64>) -> Value {
+    let options = HybridRefinementOptions {
+        target_epsilon: preset.refine_target,
+        epsilon_l: preset.qsvt_eps,
+        recovery: RecoveryPolicy::full(),
+        ..Default::default()
+    };
+    let clean_refiner = HybridRefiner::new(a, options).expect("clean refiner");
+    let clean_secs = time_min(preset.refine_reps, || {
+        let mut rng = experiment_rng(6);
+        std::hint::black_box(clean_refiner.solve(b, &mut rng).expect("clean solve"));
+    });
+    let plan = FaultPlan::new(41)
+        .with_amplitude_noise(1e-4)
+        .with_transient(1, TransientKind::InjectedError);
+    let make_faulted = || {
+        let mut refiner = HybridRefiner::new(a, options).expect("faulted refiner");
+        refiner.attach_fault_injector(FaultInjector::shared(plan.clone()));
+        refiner
+    };
+    let (_, history) = {
+        let refiner = make_faulted();
+        let mut rng = experiment_rng(6);
+        refiner.solve(b, &mut rng).expect("recovered solve")
+    };
+    let recovery_events = history.recovery.len();
+    let status = format!("{:?}", history.status);
+    assert!(
+        history.status.reached_target(),
+        "the ladder must absorb the benchmark fault plan: {status}"
+    );
+    assert!(recovery_events > 0, "the plan must trigger the ladder");
+    let recovered_secs = time_min(preset.refine_reps, || {
+        // A fresh injector per run replays the exact same fault stream.
+        let refiner = make_faulted();
+        let mut rng = experiment_rng(6);
+        std::hint::black_box(refiner.solve(b, &mut rng).expect("recovered solve"));
+    });
+    record!("noisy_refinement_recovery",
+        matrix_size: preset.qsvt_n,
+        amplitude_sigma: 1e-4,
+        clean_solve_seconds: clean_secs,
+        recovered_solve_seconds: recovered_secs,
+        recovery_overhead: recovered_secs / clean_secs,
+        recovery_events: recovery_events,
+        final_status: status,
+    )
+}
 
-    // -- Workload 9: Fig. 4 large-κ hybrid solves ----------------------------
-    // The large-condition-number regime of the `fig4_large_kappa` binary,
-    // recorded in the perf trajectory: ε_l tied to κ (ε_l·κ = 1/4, as the
-    // paper's angle-estimation algorithm fixes it), emulation path (the
-    // polynomial degree reaches tens of thousands).  One entry per κ with
-    // the degree and end-to-end solve seconds.
-    let mut fig4_json = String::new();
+/// Workload 9: Fig. 4 large-κ hybrid solves.
+///
+/// The large-condition-number regime of the `fig4_large_kappa` binary,
+/// recorded in the perf trajectory: ε_l tied to κ (ε_l·κ = 1/4, as the
+/// paper's angle-estimation algorithm fixes it), emulation path (the
+/// polynomial degree reaches tens of thousands).  One record per κ.
+fn fig4_large_kappa_workloads(preset: &Preset) -> Vec<Value> {
+    let mut records = Vec::new();
     for (idx, &kappa) in preset.fig4_kappas.iter().enumerate() {
         let epsilon = preset.fig4_eps;
         let epsilon_l = 0.25 / kappa;
@@ -888,38 +880,31 @@ fn main() {
             refiner.solve(&b4, &mut rng).expect("fig4 solve")
         };
         assert_eq!(history.status, HybridStatus::Converged, "kappa = {kappa}");
-        let degree = history.steps[0].cost.polynomial_degree;
-        let iterations = history.iterations();
         let solve_secs = time_min(1, || {
             let mut rng = experiment_rng(11 + idx as u64);
             std::hint::black_box(refiner.solve(&b4, &mut rng).expect("fig4 solve"));
         });
-        eprintln!(
-            "  fig4_large_kappa kappa={kappa}: eps={epsilon:.0e}, eps_l={epsilon_l:.2e}, \
-             degree {degree}, {iterations} iterations, {solve_secs:.4}s"
-        );
-        let _ = write!(
-            fig4_json,
-            r#",
-    {{
-      "name": "fig4_large_kappa",
-      "matrix_size": 16,
-      "kappa": {kappa},
-      "epsilon": {epsilon:e},
-      "epsilon_l": {epsilon_l:e},
-      "polynomial_degree": {degree},
-      "iterations": {iterations},
-      "solve_seconds": {solve_secs:.6}
-    }}"#
-        );
+        records.push(record!("fig4_large_kappa",
+            matrix_size: 16,
+            kappa: kappa,
+            epsilon: epsilon,
+            epsilon_l: epsilon_l,
+            polynomial_degree: history.steps[0].cost.polynomial_degree,
+            iterations: history.iterations(),
+            solve_seconds: solve_secs,
+        ));
     }
+    records
+}
 
-    // -- Workload 10: sharded vs flat execution ------------------------------
-    // Wall time of the random mixed-gate circuit through the sharded engine
-    // (4 shards, chunk-parallel with pairwise exchanges) vs the flat engine,
-    // interleaved so the ratio survives machine drift.  The execution-plan
-    // numbers come from `sharding_stats` (static cost model — deterministic,
-    // machine-independent) so CI can assert on them.
+/// Workload 10: sharded vs flat execution.
+///
+/// Wall time of the random mixed-gate circuit through the sharded engine
+/// (4 shards, chunk-parallel with pairwise exchanges) vs the flat engine,
+/// interleaved so the ratio survives machine drift.  The execution-plan
+/// numbers come from `sharding_stats` (static cost model — deterministic,
+/// machine-independent) so CI can gate on them.
+fn sharded_workload(preset: &Preset, inverter: &QsvtInverter, threads: usize) -> Value {
     let shard_count = 4usize;
     let scirc = random_circuit(preset.random_qubits, preset.random_ops, 20260807);
     let flat_exec = QuantumExecutor::with_config(
@@ -945,7 +930,6 @@ fn main() {
             std::hint::black_box(flat_exec.run_zero());
         },
     );
-    let sharded_speedup = flat_secs / sharded_secs;
     let sstats = sharding_stats(&scirc, shard_count);
     // The low-support fusion preference on the QSVT solve circuit: exchange
     // rounds of the fused degree-d circuit with the shard boundary armed vs
@@ -969,186 +953,29 @@ fn main() {
         "low-support fusion preference must retire at least one exchange round on the fused \
          QSVT circuit ({qsvt_rounds} preferred vs {qsvt_rounds_unpreferred} unpreferred)"
     );
-    eprintln!(
-        "  sharded_vs_flat {n}q x {shard_count} shards: sharded {sharded_secs:.4}s, \
-         flat {flat_secs:.4}s ({sharded_speedup:.2}x), plan {} local / {} exchanged / {} flat \
-         ops in {} rounds + {} gathers, {} KiB/shard; qsvt rounds {qsvt_rounds} preferred vs \
-         {qsvt_rounds_unpreferred} unpreferred",
-        sstats.local_ops,
-        sstats.exchanged_ops,
-        sstats.flat_ops,
-        sstats.exchange_rounds,
-        sstats.flat_gathers,
-        sstats.per_shard_bytes / 1024,
-    );
-    let mut sharded_json = String::new();
-    let _ = write!(
-        sharded_json,
-        r#",
-    {{
-      "name": "sharded_vs_flat",
-      "qubits": {n},
-      "ops": {ops},
-      "shard_count": {shard_count},
-      "shard_boundary": {shard_boundary},
-      "per_shard_amplitudes": {per_shard_amplitudes},
-      "per_shard_bytes": {per_shard_bytes},
-      "local_ops": {local_ops},
-      "exchanged_ops": {exchanged_ops},
-      "flat_ops": {flat_ops},
-      "exchange_rounds": {exchange_rounds},
-      "flat_gathers": {flat_gathers},
-      "sharded_seconds": {sharded_secs:.6},
-      "flat_seconds": {flat_secs:.6},
-      "sharded_vs_flat_speedup": {sharded_speedup:.3},
-      "machine_threads": {machine_threads},
-      "parallel_speedup_meaningful": {parallel_meaningful},
-      "qsvt_shard_count": {shard_count},
-      "qsvt_exchange_rounds": {qsvt_rounds},
-      "qsvt_exchange_rounds_unpreferred": {qsvt_rounds_unpreferred},
-      "qsvt_flat_gathers": {qsvt_flat_gathers},
-      "qsvt_flat_gathers_unpreferred": {qsvt_flat_gathers_unpreferred}
-    }}"#,
-        ops = preset.random_ops,
-        shard_boundary = sstats.shard_boundary,
-        per_shard_amplitudes = sstats.per_shard_amplitudes,
-        per_shard_bytes = sstats.per_shard_bytes,
-        local_ops = sstats.local_ops,
-        exchanged_ops = sstats.exchanged_ops,
-        flat_ops = sstats.flat_ops,
-        exchange_rounds = sstats.exchange_rounds,
-        flat_gathers = sstats.flat_gathers,
-        qsvt_flat_gathers = preferred_plan.flat_gathers(),
-        qsvt_flat_gathers_unpreferred = unpreferred_plan.flat_gathers(),
-    );
-
-    // -- Emit JSON -----------------------------------------------------------
-    let unix_seconds = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_secs())
-        .unwrap_or(0);
-    let mut json = String::new();
-    let _ = write!(
-        json,
-        r#"{{
-  "schema": "qls-bench/simulator/v1",
-  "preset": "{preset_name}",
-  "unix_seconds": {unix_seconds},
-  "machine_threads": {machine_threads},
-  "workloads": [
-    {{
-      "name": "random_circuit",
-      "qubits": {n},
-      "ops": {ops},
-      "kernel_single_thread_seconds": {kernel_1t:.6},
-      "scalar_single_thread_seconds": {scalar_1t:.6},
-      "simd_vs_scalar_speedup": {simd_speedup:.3},
-      "generic_single_thread_seconds": {generic_1t:.6},
-      "kernel_parallel_seconds": {kernel_nt:.6},
-      "kernel_vs_generic_speedup": {kernel_speedup:.3},
-      "machine_threads": {machine_threads},
-      "parallel_speedup_meaningful": {parallel_meaningful},
-      "parallel_vs_single_thread_speedup": {parallel_speedup:.3},
-      "static_fusion_ops": {static_fusion_ops},
-      "calibrated_fusion_ops": {calibrated_fusion_ops},
-      "fusion_calibrations": {fusion_calibrations}
-    }},
-    {{
-      "name": "qsvt_solve_circuit_mode",
-      "matrix_size": {qsvt_n},
-      "kappa": {qsvt_kappa},
-      "epsilon": {qsvt_eps:e},
-      "polynomial_degree": {degree},
-      "build_seconds": {qsvt_build:.6},
-      "build_seconds_warm": {qsvt_build_warm:.6},
-      "warm_vs_cold_build_speedup": {warm_build_speedup:.3},
-      "build_phase_generations_warm": {warm_phase_gens},
-      "build_fusion_passes_warm": {warm_fusion_passes},
-      "solve_seconds": {qsvt_solve:.6},
-      "fused_solve_seconds": {qsvt_solve_fused:.6},
-      "fused_vs_unfused_speedup": {qsvt_fused_speedup:.3},
-      "uncached_solve_seconds": {qsvt_solve_uncached:.6},
-      "compile_once_vs_uncached_speedup": {qsvt_solve_speedup:.3},
-      "simd_solve_seconds": {qsvt_simd_1t:.6},
-      "scalar_solve_seconds": {qsvt_scalar_1t:.6},
-      "simd_vs_scalar_speedup": {qsvt_simd_speedup:.3},
-      "raw_circuit_ops": {fusion_raw_ops},
-      "fused_circuit_ops": {fusion_fused_ops},
-      "fusion_op_reduction": {fusion_op_reduction:.3}
-    }},
-    {{
-      "name": "circuit_unitary",
-      "qubits": {uq},
-      "layers": {ul},
-      "seconds": {unitary_secs:.6}
-    }},
-    {{
-      "name": "hybrid_refinement_circuit_mode",
-      "matrix_size": {qsvt_n},
-      "kappa": {qsvt_kappa},
-      "epsilon_l": {qsvt_eps:e},
-      "target_epsilon": {refine_target:e},
-      "iterations": {refine_iterations},
-      "compile_once_seconds": {refine_compile_once:.6},
-      "fused_solve_seconds": {refine_fused:.6},
-      "fused_vs_unfused_speedup": {refine_fused_speedup:.3},
-      "recompile_seconds": {refine_recompile:.6},
-      "compile_once_vs_recompile_speedup": {refine_speedup:.3},
-      "simd_solve_seconds": {refine_simd_1t:.6},
-      "scalar_solve_seconds": {refine_scalar_1t:.6},
-      "simd_vs_scalar_speedup": {refine_simd_speedup:.3},
-      "compile_once_circuit_compiles": {compile_once_compiles},
-      "recompile_circuit_compiles": {recompile_compiles}
-    }},
-    {{
-      "name": "multi_rhs_refinement",
-      "matrix_size": {qsvt_n},
-      "num_rhs": {multi_rhs},
-      "batched_seconds": {batched_secs:.6},
-      "sequential_seconds": {sequential_secs:.6},
-      "machine_threads": {machine_threads},
-      "parallel_speedup_meaningful": {parallel_meaningful},
-      "batched_vs_sequential_speedup": {batch_speedup:.3}
-    }}{sparse_json}{structured_json}{recovery_json}{fig4_json}{sharded_json}
-  ]
-}}
-"#,
-        preset_name = preset.name,
-        ops = preset.random_ops,
-        qsvt_n = preset.qsvt_n,
-        qsvt_kappa = preset.qsvt_kappa,
-        qsvt_eps = preset.qsvt_eps,
-        uq = preset.unitary_qubits,
-        ul = preset.unitary_layers,
-        refine_target = preset.refine_target,
-        multi_rhs = preset.multi_rhs,
-        fusion_raw_ops = fusion.raw_ops,
-        fusion_fused_ops = fusion.fused_ops,
-        fusion_op_reduction = fusion.op_reduction(),
-    );
-    std::fs::write(&out_path, &json).expect("write benchmark JSON");
-    eprintln!("bench_json: wrote {out_path}");
-    print!("{json}");
-    let _ = std::fs::remove_dir_all(&bench_cache_root);
-
-    // -- Perf-regression gate (--compare) ------------------------------------
-    if let Some(baseline_path) = compare_path {
-        let baseline = std::fs::read_to_string(&baseline_path)
-            .unwrap_or_else(|e| panic!("read baseline {baseline_path}: {e}"));
-        let violations = compare_against_baseline(&json, &baseline);
-        if violations.is_empty() {
-            eprintln!("bench_json: no perf regressions against {baseline_path}");
-        } else {
-            eprintln!(
-                "bench_json: {} perf regression(s) against {baseline_path}:",
-                violations.len()
-            );
-            for v in &violations {
-                eprintln!("  REGRESSION: {v}");
-            }
-            std::process::exit(1);
-        }
-    }
+    record!("sharded_vs_flat",
+        qubits: preset.random_qubits,
+        ops: preset.random_ops,
+        shard_count: shard_count,
+        shard_boundary: sstats.shard_boundary,
+        per_shard_amplitudes: sstats.per_shard_amplitudes,
+        per_shard_bytes: sstats.per_shard_bytes,
+        local_ops: sstats.local_ops,
+        exchanged_ops: sstats.exchanged_ops,
+        flat_ops: sstats.flat_ops,
+        exchange_rounds: sstats.exchange_rounds,
+        flat_gathers: sstats.flat_gathers,
+        sharded_seconds: sharded_secs,
+        flat_seconds: flat_secs,
+        sharded_vs_flat_speedup: flat_secs / sharded_secs,
+        machine_threads: threads,
+        parallel_speedup_meaningful: threads > 1,
+        qsvt_shard_count: shard_count,
+        qsvt_exchange_rounds: qsvt_rounds,
+        qsvt_exchange_rounds_unpreferred: qsvt_rounds_unpreferred,
+        qsvt_flat_gathers: preferred_plan.flat_gathers(),
+        qsvt_flat_gathers_unpreferred: unpreferred_plan.flat_gathers(),
+    )
 }
 
 /// A perf floor checked by `--compare`: the current value of
@@ -1206,8 +1033,8 @@ const RATIO_FLOORS: &[RatioFloor] = &[
         fraction: 0.1,
     },
     RatioFloor {
-        workload: "hybrid_refinement_circuit_mode",
-        field: "compile_once_vs_recompile_speedup",
+        workload: "qsvt_solve_circuit_mode",
+        field: "compile_once_vs_uncached_speedup",
         fraction: 0.2,
     },
 ];
@@ -1310,4 +1137,69 @@ fn compare_against_baseline(current_json: &str, baseline_json: &str) -> Vec<Stri
         }
     }
     violations
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// A two-workload artifact: one gated ratio and one gated counter.
+    fn artifact(kernel_speedup: f64, circuit_compiles: u64) -> String {
+        to_json_string(&record!(workloads: vec![
+            record!("random_circuit", kernel_vs_generic_speedup: kernel_speedup),
+            record!("hybrid_refinement_circuit_mode",
+                compile_once_circuit_compiles: circuit_compiles,
+            ),
+        ]))
+    }
+
+    #[test]
+    fn ratio_inflated_in_the_baseline_trips_its_floor() {
+        let violations = compare_against_baseline(&artifact(10.0, 0), &artifact(1000.0, 0));
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with("random_circuit.kernel_vs_generic_speedup"));
+    }
+
+    #[test]
+    fn gated_field_missing_from_the_current_artifact_is_a_violation() {
+        let current = to_json_string(&record!(workloads: vec![
+            record!("random_circuit", kernel_vs_generic_speedup: 10.0),
+            record!("hybrid_refinement_circuit_mode", iterations: 2),
+        ]));
+        let violations = compare_against_baseline(&current, &artifact(10.0, 0));
+        assert_eq!(
+            violations,
+            ["workload hybrid_refinement_circuit_mode missing field compile_once_circuit_compiles"]
+        );
+    }
+
+    #[test]
+    fn counter_above_its_ceiling_trips() {
+        let violations = compare_against_baseline(&artifact(10.0, 1), &artifact(10.0, 0));
+        assert_eq!(violations.len(), 1, "{violations:?}");
+        assert!(violations[0].starts_with("hybrid_refinement_circuit_mode.compile_once"));
+    }
+
+    #[test]
+    fn field_missing_from_the_baseline_is_skipped() {
+        let baseline = to_json_string(&record!(workloads: vec![
+            record!("random_circuit", qubits: 16),
+        ]));
+        assert!(compare_against_baseline(&artifact(0.0, 99), &baseline).is_empty());
+    }
+
+    /// A misspelled floor or ceiling would be skipped by the gate forever, so
+    /// every gated field must exist, numerically, in the committed baseline.
+    #[test]
+    fn every_gated_field_is_in_the_committed_baseline() {
+        let baseline = parse_json(include_str!("../../../../BENCH_simulator.json"))
+            .expect("committed baseline parses");
+        let floors = RATIO_FLOORS.iter().map(|f| (f.workload, f.field));
+        let ceilings = COUNTER_CEILINGS.iter().map(|c| (c.workload, c.field));
+        for (workload, field) in floors.chain(ceilings) {
+            if let Err(e) = workload_field(&baseline, workload, field) {
+                panic!("gated field not in BENCH_simulator.json: {e}");
+            }
+        }
+    }
 }

@@ -495,18 +495,6 @@ impl<Op: FactorizableOperator<f64>> HybridRefiner<Op> {
         self.tightened = OnceLock::new();
     }
 
-    /// Detach and return the fault injector, restoring ideal execution.
-    pub fn detach_fault_injector(&mut self) -> Option<SharedFaultInjector> {
-        self.solver.detach_fault_injector();
-        self.tightened = OnceLock::new();
-        self.fault.take()
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&SharedFaultInjector> {
-        self.fault.as_ref()
-    }
-
     /// The ladder of recovery actions tried **after** a failed primary
     /// attempt, in order.  Empty when the policy is disabled.
     fn recovery_ladder(&self) -> Vec<RecoveryAction> {
@@ -1107,58 +1095,6 @@ mod tests {
             "no recompilation inside the refinement loop"
         );
         assert!(history.iterations() >= 1, "the loop actually iterated");
-
-        // The retained recompile baseline, by contrast, compiles on every
-        // inner solve — once per step of the history.
-        let baseline = HybridRefiner::new(
-            &a,
-            HybridRefinementOptions {
-                target_epsilon: 1e-8,
-                epsilon_l: 0.05,
-                solver: crate::solver::QsvtSolverOptions {
-                    mode: qls_qsvt::QsvtMode::CircuitReal,
-                    recompile_baseline: true,
-                    ..Default::default()
-                },
-                ..Default::default()
-            },
-        )
-        .unwrap();
-        let before_baseline = qls_sim::circuit_compile_count();
-        let (_, baseline_history) = baseline.solve(&b, &mut rng).unwrap();
-        assert_eq!(
-            qls_sim::circuit_compile_count() - before_baseline,
-            baseline_history.steps.len(),
-            "the baseline recompiles once per solve step"
-        );
-    }
-
-    #[test]
-    fn recompile_baseline_agrees_with_compile_once_refinement() {
-        let (a, b) = system(2.0, 4, 159);
-        let make = |recompile_baseline: bool| HybridRefinementOptions {
-            target_epsilon: 1e-8,
-            epsilon_l: 0.05,
-            solver: crate::solver::QsvtSolverOptions {
-                mode: qls_qsvt::QsvtMode::CircuitReal,
-                recompile_baseline,
-                ..Default::default()
-            },
-            ..Default::default()
-        };
-        let mut rng = ChaCha8Rng::seed_from_u64(18);
-        let (x_fast, h_fast) = HybridRefiner::new(&a, make(false))
-            .unwrap()
-            .solve(&b, &mut rng)
-            .unwrap();
-        let (x_slow, h_slow) = HybridRefiner::new(&a, make(true))
-            .unwrap()
-            .solve(&b, &mut rng)
-            .unwrap();
-        assert_eq!(h_fast.status, h_slow.status);
-        assert_eq!(h_fast.steps.len(), h_slow.steps.len());
-        let rel = (&x_fast - &x_slow).norm2() / x_slow.norm2();
-        assert!(rel < 1e-10, "paths diverge by {rel}");
     }
 
     #[test]

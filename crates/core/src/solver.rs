@@ -45,14 +45,6 @@ pub struct QsvtSolverOptions {
     /// one-op-per-gate (the unoptimized compile-once baseline the perf
     /// trajectory measures fusion against).
     pub opt_level: OptLevel,
-    /// Perf-trajectory baseline switch: when `true`, every solve applies the
-    /// QSVT circuit through the **uncached** pre-compile-once path
-    /// (`QsvtInverter::solve_direction_uncached` — the circuit is recompiled
-    /// on each call, as every solve did before the execution-engine layer).
-    /// Retained so `bench_json` can measure compile-once vs
-    /// recompile-per-iteration end to end and tests can check the two paths
-    /// agree.  Leave `false` outside benchmarks.
-    pub recompile_baseline: bool,
     /// Persistent artifact cache policy (`qls-cache`).  `Enabled` — the
     /// default — lets repeat constructions of the same solver (same matrix
     /// spectrum, accuracy, and options) load the QSVT phase factors and the
@@ -70,7 +62,6 @@ impl Default for QsvtSolverOptions {
             shots: None,
             brent_tolerance: 1e-12,
             opt_level: OptLevel::default(),
-            recompile_baseline: false,
             cache: CachePolicy::default(),
         }
     }
@@ -164,16 +155,6 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
         self.inverter.attach_fault_injector(injector);
     }
 
-    /// Detach and return the fault injector, restoring ideal execution.
-    pub fn detach_fault_injector(&mut self) -> Option<SharedFaultInjector> {
-        self.inverter.detach_fault_injector()
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&SharedFaultInjector> {
-        self.inverter.fault_injector()
-    }
-
     /// The solver options.
     pub fn options(&self) -> &QsvtSolverOptions {
         &self.options
@@ -219,13 +200,8 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
             return Err(LinalgError::DimensionMismatch.into());
         }
         // Quantum solve: direction of the solution, through the compiled-once
-        // circuit (or the retained recompile-per-call baseline when the
-        // benchmark switch asks for it).
-        let (direction, success_probability) = if self.options.recompile_baseline {
-            self.inverter.solve_direction_uncached(b)?
-        } else {
-            self.inverter.solve_direction(b)?
-        };
+        // circuit.
+        let (direction, success_probability) = self.inverter.solve_direction(b)?;
         self.finish_solve(b, direction, success_probability, shots, rng)
     }
 
@@ -243,10 +219,6 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
         bs: &[Vector<f64>],
         rng: &mut R,
     ) -> Vec<Result<QsvtSolveResult, QlsError>> {
-        if self.options.recompile_baseline {
-            // The baseline has no batch path — it models the engine-less API.
-            return bs.iter().map(|b| self.solve(b, rng)).collect();
-        }
         let directions = self.inverter.solve_direction_batch_checked(bs);
         bs.iter()
             .zip(directions)

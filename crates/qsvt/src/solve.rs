@@ -269,14 +269,6 @@ impl QsvtInverter {
         self.fault = Some(injector);
     }
 
-    /// Detach and return the fault injector, restoring ideal execution.
-    pub fn detach_fault_injector(&mut self) -> Option<SharedFaultInjector> {
-        if let Some(art) = self.circuit.as_mut() {
-            art.executor.detach_fault_injector();
-        }
-        self.fault.take()
-    }
-
     /// The attached fault injector, if any.
     pub fn fault_injector(&self) -> Option<&SharedFaultInjector> {
         self.fault.as_ref()

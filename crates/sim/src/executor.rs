@@ -306,16 +306,6 @@ impl QuantumExecutor {
         self.fault = Some(injector);
     }
 
-    /// Detach and return the fault injector, restoring ideal execution.
-    pub fn detach_fault_injector(&mut self) -> Option<SharedFaultInjector> {
-        self.fault.take()
-    }
-
-    /// The attached fault injector, if any.
-    pub fn fault_injector(&self) -> Option<&SharedFaultInjector> {
-        self.fault.as_ref()
-    }
-
     /// The optimization level the engine was built with.
     pub fn opt_level(&self) -> OptLevel {
         self.opt_level
@@ -571,7 +561,6 @@ mod tests {
     fn checked_paths_without_injector_match_the_plain_paths() {
         let circ = test_circuit(5);
         let exec = QuantumExecutor::new(&circ);
-        assert!(exec.fault_injector().is_none());
         let mut checked = StateVector::zero_state(5);
         exec.run_in_place_checked(&mut checked).unwrap();
         assert_eq!(checked.amplitudes(), exec.run_zero().amplitudes());
@@ -604,9 +593,6 @@ mod tests {
         // in this plan).
         let ideal = exec.run(&StateVector::basis_state(4, 2));
         assert_eq!(batch[2].amplitudes(), ideal.amplitudes());
-        let detached = exec.detach_fault_injector();
-        assert!(detached.is_some());
-        assert!(exec.fault_injector().is_none());
     }
 
     #[test]
