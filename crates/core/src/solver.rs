@@ -20,9 +20,9 @@ use qls_cache::CachePolicy;
 use qls_encoding::StatePreparation;
 use qls_linalg::lu::LinalgError;
 use qls_linalg::{brent_minimize, scaled_residual, LinearOperator, Matrix, Vector};
-use qls_qsvt::{QsvtInverter, QsvtMode, QsvtResources};
+use qls_qsvt::{QsvtError, QsvtInverter, QsvtMode, QsvtResources};
 use qls_sim::fault::{lock_injector, SharedFaultInjector};
-use qls_sim::{shots_for_accuracy, ExecMode, OptLevel};
+use qls_sim::{sample_counts, shots_for_accuracy, ExecMode, OptLevel};
 use rand::Rng;
 use serde::Serialize;
 
@@ -35,7 +35,8 @@ pub struct QsvtSolverOptions {
     pub mode: QsvtMode,
     /// Number of measurement shots used to read out the solution direction;
     /// `None` reads the exact amplitudes from the simulator (noiseless
-    /// readout, the regime of the paper's convergence plots).
+    /// readout, the regime of the paper's convergence plots).  `Some(0)` is
+    /// rejected by [`QsvtLinearSolver::new`].
     pub shots: Option<usize>,
     /// Iteration/evaluation budget of the Brent norm-recovery step.
     pub brent_tolerance: f64,
@@ -128,8 +129,12 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
     /// Prepare the solver (builds the inverse polynomial and, in circuit mode,
     /// the phase factors and the optimized, compiled-once QSVT circuit).
     /// The densification needed by the quantum-side construction happens here,
-    /// once — never on the solve path.
+    /// once — never on the solve path.  `shots: Some(0)` is a
+    /// [`QsvtError::InvalidInput`].
     pub fn new(a: &Op, options: QsvtSolverOptions) -> Result<Self, QlsError> {
+        if options.shots == Some(0) {
+            return Err(QsvtError::InvalidInput("shots must be positive").into());
+        }
         // The densified temporary is dropped before the operator is cloned,
         // so the dense default (`to_dense` = clone) never holds an extra
         // N² buffer beyond what the inverter keeps.
@@ -245,7 +250,10 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
     ) -> Result<QsvtSolveResult, QlsError> {
         // Optional finite-shot readout: perturb magnitudes with multinomial
         // sampling noise, keep the signs (sign recovery is assumed exact, see
-        // qls-sim::measure::signed_from_magnitudes).  An attached fault
+        // qls-sim::measure::signed_from_magnitudes).  The counts are one
+        // exact multinomial draw in O(N) expected RNG draws, so the readout
+        // costs the same at 10 shots as at 10⁶ (the model's shot count is
+        // still charged in `SolveCost::shots`).  An attached fault
         // injector's readout corruption composes with the sampled path —
         // sign flips model exactly the failure `signed_from_magnitudes`
         // assumes away.
@@ -313,29 +321,29 @@ impl<Op: LinearOperator<f64>> QsvtLinearSolver<Op> {
 }
 
 /// Simulate a finite-shot readout of a normalised real direction vector:
-/// magnitudes are re-estimated from a multinomial sample of `shots` outcomes,
-/// signs are kept from the exact direction.
+/// the `shots` outcomes are one exact multinomial draw over the
+/// probabilities `η_i²` ([`qls_sim::sample_counts`]: conditional binomials,
+/// O(N) expected RNG draws whatever `shots` is), magnitudes are re-estimated
+/// as `√(c_i/shots)`, and signs are kept from the exact direction.
+///
+/// A non-finite direction is returned as it is, so the caller's readout
+/// guard reports it; a direction with no mass reads out as the zero vector.
 pub fn sample_direction<R: Rng>(direction: &Vector<f64>, shots: usize, rng: &mut R) -> Vector<f64> {
-    let probs: Vec<f64> = direction.iter().map(|&x| x * x).collect();
-    let mut counts = vec![0usize; probs.len()];
-    // Cumulative distribution.
-    let mut cdf = Vec::with_capacity(probs.len());
-    let mut acc = 0.0;
-    for &p in &probs {
-        acc += p;
-        cdf.push(acc);
+    if !direction.iter().all(|v| v.is_finite()) {
+        return direction.clone();
     }
-    let total = acc.max(1e-300);
-    for _ in 0..shots {
-        let r: f64 = rng.gen_range(0.0..total);
-        let idx = cdf.partition_point(|&c| c < r).min(probs.len() - 1);
-        counts[idx] += 1;
-    }
-    let mut sampled: Vector<f64> = counts
+    // Weights relative to the largest magnitude cannot overflow when squared.
+    let peak = direction.iter().fold(0.0_f64, |m, v| m.max(v.abs()));
+    let weights: Vec<f64> = direction
+        .iter()
+        .map(|&v| if peak > 0.0 { (v / peak).powi(2) } else { 0.0 })
+        .collect();
+    // √(c_i/shots) up to the common factor the normalisation removes.
+    let mut sampled: Vector<f64> = sample_counts(&weights, shots, rng)
         .iter()
         .zip(direction.iter())
         .map(|(&c, &d)| {
-            let mag = (c as f64 / shots as f64).sqrt();
+            let mag = (c as f64).sqrt();
             if d < 0.0 {
                 -mag
             } else {
@@ -540,5 +548,59 @@ mod tests {
         let a = sample_direction(&direction, 10_000, &mut rng_a);
         let b = sample_direction(&direction, 10_000, &mut rng_b);
         assert_eq!(a.as_slice(), b.as_slice());
+    }
+
+    #[test]
+    fn non_finite_direction_reads_out_non_finite() {
+        let mut rng = ChaCha8Rng::seed_from_u64(10);
+        let direction = Vector::from_f64_slice(&[f64::NAN, 0.5, 0.5, 0.5]);
+        let sampled = sample_direction(&direction, 10_000, &mut rng);
+        assert!(sampled[0].is_nan(), "{sampled:?}");
+        let direction = Vector::from_f64_slice(&[0.5, f64::INFINITY, 0.5, 0.5]);
+        let sampled = sample_direction(&direction, 10_000, &mut rng);
+        assert!(!sampled.iter().all(|v| v.is_finite()), "{sampled:?}");
+        // ... so the sampled path's readout guard reports it.
+        let (a, b) = system(2.0, 4, 146);
+        let solver = QsvtLinearSolver::new(&a, QsvtSolverOptions::default()).unwrap();
+        assert!(matches!(
+            solver.finish_solve(&b, direction, 1.0, Some(10_000), &mut rng),
+            Err(QlsError::NonFinite {
+                boundary: "readout"
+            })
+        ));
+    }
+
+    #[test]
+    fn zero_direction_reads_out_as_the_zero_vector() {
+        let mut rng = ChaCha8Rng::seed_from_u64(11);
+        let sampled = sample_direction(&Vector::zeros(4), 10_000, &mut rng);
+        assert_eq!(sampled.as_slice(), &[0.0; 4]);
+    }
+
+    #[test]
+    fn readout_rng_cost_does_not_grow_with_shots() {
+        // One uniform per shot would consume 2·10⁶ words here; the
+        // multinomial sampler needs O(N) whatever the shot count.
+        let n = 16;
+        let direction = random_unit_vector(n, &mut ChaCha8Rng::seed_from_u64(12));
+        for seed in 0..8 {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            sample_direction(&direction, 1_000_000, &mut rng);
+            let words = rng.get_word_pos();
+            assert!(words <= 64 * n as u128, "seed {seed}: {words} RNG words");
+        }
+    }
+
+    #[test]
+    fn zero_shots_are_rejected_at_construction() {
+        let (a, _) = system(2.0, 4, 145);
+        let options = QsvtSolverOptions {
+            shots: Some(0),
+            ..Default::default()
+        };
+        assert!(matches!(
+            QsvtLinearSolver::new(&a, options),
+            Err(QlsError::Qsvt(QsvtError::InvalidInput(_)))
+        ));
     }
 }

@@ -135,7 +135,8 @@ pub use fuse::{
 pub use gate::Gate;
 pub use kernels::{circuit_compile_count, CompiledCircuit, CompiledOp, PARALLEL_WORK_THRESHOLD};
 pub use measure::{
-    estimate_magnitudes, sample, shots_for_accuracy, signed_from_magnitudes, SampleResult,
+    estimate_magnitudes, sample, sample_binomial, sample_counts, shots_for_accuracy,
+    signed_from_magnitudes, SampleResult,
 };
 pub use qls_cache::CachePolicy;
 pub use resources::{

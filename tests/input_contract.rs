@@ -81,6 +81,22 @@ fn unsupported_matrix_or_accuracy_is_rejected_at_construction() {
 }
 
 #[test]
+fn zero_shots_are_rejected_at_construction() {
+    let (a, _) = system(4, 405);
+    for mode in MODES {
+        let mut opts = options(mode, 0.05);
+        opts.solver.shots = Some(0);
+        assert!(
+            matches!(
+                HybridRefiner::new(&a, opts),
+                Err(QlsError::Qsvt(QsvtError::InvalidInput(_)))
+            ),
+            "{mode:?}: shots = Some(0)"
+        );
+    }
+}
+
+#[test]
 fn zero_right_hand_side_converges_to_zero() {
     let (a, _) = system(4, 404);
     let zero = Vector::zeros(4);
