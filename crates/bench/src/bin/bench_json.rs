@@ -7,7 +7,8 @@
 //! 1. `random_circuit` — a random mixed-gate circuit on 16 qubits (the
 //!    simulator hot path): specialized kernels vs the retained generic
 //!    reference path and vs the scalar kernel bodies, all pinned to one
-//!    thread, plus the kernel path at the machine's full thread count;
+//!    thread, plus the kernel path under the machine's full thread count
+//!    (a flat register runs on the calling thread, so that ratio stays ≈ 1);
 //! 2. `qsvt_solve_circuit_mode` — a gate-level QSVT solve on the paper's
 //!    4-qubit (N = 16) test system (Section IV): fused vs unfused
 //!    compile-once vs the uncached per-call path, and the build cold vs warm
@@ -901,7 +902,11 @@ fn fig4_large_kappa_workloads(preset: &Preset) -> Vec<Value> {
 ///
 /// Wall time of the random mixed-gate circuit through the sharded engine
 /// (4 shards, chunk-parallel with pairwise exchanges) vs the flat engine,
-/// interleaved so the ratio survives machine drift.  The execution-plan
+/// interleaved so the ratio survives machine drift.  The flat engine runs a
+/// register on the calling thread (its kernels never fan out), so
+/// `flat_seconds` is the sequential time and `sharded_vs_flat_speedup` is
+/// the parallel speedup sharding buys for one register at
+/// `machine_threads`.  The execution-plan
 /// numbers come from `sharding_stats` (static cost model — deterministic,
 /// machine-independent) so CI can gate on them.
 fn sharded_workload(preset: &Preset, inverter: &QsvtInverter, threads: usize) -> Value {

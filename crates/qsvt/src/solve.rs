@@ -76,8 +76,9 @@ pub enum QsvtError {
     /// The solve produced a non-finite (NaN/Inf) output — caught at the
     /// readout boundary instead of leaking into downstream comparisons.
     NonFiniteOutput,
-    /// The matrix or accuracy handed to the constructor is outside what
-    /// the inversion supports; the message names the requirement.
+    /// An input is outside what the inversion supports — the matrix,
+    /// accuracy or shard count handed to the constructor, or a right-hand
+    /// side of the wrong length; the message names the requirement.
     InvalidInput(&'static str),
     /// An internal invariant of the solver was violated (a bug, not an
     /// input error); the message names the invariant.
@@ -188,7 +189,9 @@ impl QsvtInverter {
     ///   `Disabled` is the escape hatch that never touches the disk.
     ///
     /// `a` must be square with a power-of-two dimension `2^n` (the data
-    /// register) and `epsilon_l` must lie in (0, 1); anything else is
+    /// register), `epsilon_l` must lie in (0, 1), and in circuit mode an
+    /// `ExecMode::Sharded` shard count must be a power of two no larger than
+    /// the QSVT register's amplitude count; anything else is
     /// [`QsvtError::InvalidInput`].
     pub fn with_config(
         a: &Matrix<f64>,
@@ -229,6 +232,18 @@ impl QsvtInverter {
                     .map_err(QsvtError::Phases)?;
             let be = DilationBlockEncoding::of_adjoint(a, alpha);
             let qsvt = QsvtCircuit::with_real_part_extraction(&be, &phases.phases);
+            if let ExecMode::Sharded { shards } = exec_mode {
+                // The sharded engine splits the register into 2^k chunks of
+                // at least one amplitude each.
+                if !shards.is_power_of_two()
+                    || shards.trailing_zeros() as usize > qsvt.circuit().num_qubits()
+                {
+                    return Err(QsvtError::InvalidInput(
+                        "shard count must be a power of two no larger than the register's \
+                         amplitude count",
+                    ));
+                }
+            }
             // Optimize + compile exactly once; every solve_direction call
             // (single or batched) reuses this compiled artefact.
             let executor =
@@ -391,7 +406,7 @@ impl QsvtInverter {
         b: &Vector<f64>,
         uncached: bool,
     ) -> Result<(Vector<f64>, f64), QsvtError> {
-        assert_eq!(b.len(), self.matrix.nrows(), "dimension mismatch");
+        self.check_len(b)?;
         let mut b_normalised = b.clone();
         let norm = b_normalised.normalize();
         if norm == 0.0 {
@@ -423,10 +438,10 @@ impl QsvtInverter {
     /// `qls_sim::QuantumExecutor::run_batch_checked` (coarse-grained, one
     /// register per worker); results are identical to mapping
     /// [`QsvtInverter::solve_direction`] over the inputs in order, with a
-    /// **per-system verdict**: one failed post-selection or injected fault
-    /// does not take down the whole multi-RHS batch — the affected slot
-    /// carries its own error and every other system still returns its
-    /// direction.
+    /// **per-system verdict**: one wrong-length right-hand side, failed
+    /// post-selection or injected fault does not take down the whole
+    /// multi-RHS batch — the affected slot carries its own error and every
+    /// other system still returns its direction.
     pub fn solve_direction_batch_checked(
         &self,
         bs: &[Vector<f64>],
@@ -438,26 +453,26 @@ impl QsvtInverter {
             Ok(art) => art,
             Err(e) => return bs.iter().map(|_| Err(e.clone())).collect(),
         };
-        // Normalise every right-hand side; zero inputs have a fixed result
-        // and must not enter the batch (`nonzero` remembers which slot each
-        // executed register belongs to).
-        let mut nonzero: Vec<bool> = Vec::with_capacity(bs.len());
+        // Normalise every right-hand side; wrong-length and zero inputs have
+        // a fixed result and must not enter the batch (`runs` remembers
+        // which slot each executed register belongs to).
+        let mut runs: Vec<bool> = Vec::with_capacity(bs.len());
         let mut states: Vec<StateVector> = Vec::with_capacity(bs.len());
         for b in bs {
-            assert_eq!(b.len(), self.matrix.nrows(), "dimension mismatch");
             let mut b_normalised = b.clone();
-            let norm = b_normalised.normalize();
-            nonzero.push(norm != 0.0);
-            if norm != 0.0 {
+            let run = self.check_len(b).is_ok() && b_normalised.normalize() != 0.0;
+            runs.push(run);
+            if run {
                 states.push(self.embed(art, &b_normalised));
             }
         }
         let verdicts = art.executor.run_batch_checked(&mut states);
         let mut ran = states.into_iter().zip(verdicts);
-        nonzero
-            .into_iter()
-            .map(|has_state| {
-                if has_state {
+        bs.iter()
+            .zip(runs)
+            .map(|(b, run)| {
+                self.check_len(b)?;
+                if run {
                     let Some((state, verdict)) = ran.next() else {
                         return Err(QsvtError::Internal("one executed register per input"));
                     };
@@ -468,6 +483,17 @@ impl QsvtInverter {
                 }
             })
             .collect()
+    }
+
+    /// Reject a right-hand side whose length is not the matrix dimension.
+    fn check_len(&self, b: &Vector<f64>) -> Result<(), QsvtError> {
+        if b.len() == self.matrix.nrows() {
+            Ok(())
+        } else {
+            Err(QsvtError::InvalidInput(
+                "right-hand side length must match the matrix dimension",
+            ))
+        }
     }
 
     /// Emulation path: `V P(Σ/α) Wᵀ v` through the classical SVD of `A`

@@ -8,17 +8,15 @@
 //! exactly once into its [`CompiledCircuit`] form and then exposes
 //!
 //! * [`QuantumExecutor::run`] / [`run_in_place`](QuantumExecutor::run_in_place)
-//!   — apply the compiled circuit to one register (per-gate thread fan-out as
-//!   usual, see [`crate::kernels`]);
+//!   — apply the compiled circuit to one register.  A flat register runs on
+//!   the calling thread (the kernels never fan out, see [`crate::kernels`]);
+//!   under [`ExecMode::Sharded`] its chunks fan out across workers;
 //! * [`QuantumExecutor::run_batch`] — apply the compiled circuit to **many**
 //!   registers, fanning out across the *batch* with one register per worker
-//!   thread.  Coarse-grained batch parallelism scales on multi-core machines
-//!   where per-gate fan-out cannot (a gate application is memory-bound and
-//!   synchronises at every gate; independent registers never synchronise).
-//!   Inside a batch fan-out the per-gate parallelism is disabled
-//!   ([`CompiledCircuit::apply_sequential`]), so no nested thread spawning
-//!   occurs and results stay bit-identical to a sequential loop of
-//!   [`run`](QuantumExecutor::run) at any thread count.
+//!   thread.  Independent registers never synchronise, so this coarse grain
+//!   is the one that scales on multi-core machines; each worker runs the
+//!   same single-threaded kernels, so results are bit-identical to a
+//!   sequential loop of [`run`](QuantumExecutor::run) at any thread count.
 //!
 //! ## Optimization
 //!
@@ -368,9 +366,10 @@ impl QuantumExecutor {
         }
     }
 
-    /// Apply the compiled circuit to `state` in place (per-gate fan-out above
-    /// the usual work threshold; in sharded mode the register is split,
-    /// run through the exchange plan, and gathered back).
+    /// Apply the compiled circuit to `state` in place.  A flat register runs
+    /// on the calling thread; in sharded mode the register is split, run
+    /// through the exchange plan (chunks fan out across workers above
+    /// [`PARALLEL_WORK_THRESHOLD`]), and gathered back.
     pub fn run_in_place(&self, state: &mut StateVector) {
         self.apply_ideal(state);
     }
@@ -420,11 +419,10 @@ impl QuantumExecutor {
                 && batch_work >= PARALLEL_WORK_THRESHOLD
                 && rayon::current_num_threads() > 1
             {
-                // Coarse grain: one register per worker, per-gate fan-out off
-                // so worker threads never spawn nested workers.
+                // Coarse grain: one register per worker.
                 states
                     .par_iter_mut()
-                    .for_each(|state| self.compiled.apply_sequential(state));
+                    .for_each(|state| self.compiled.apply(state));
                 return;
             }
         }

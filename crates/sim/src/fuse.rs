@@ -103,7 +103,7 @@ pub enum CostModel {
     Static,
     /// Units measured on this machine: at first use for a register size,
     /// one representative sweep per kernel class is timed
-    /// (`CompiledOp::apply_sequential` on a capped-size buffer) and
+    /// (`CompiledOp::apply` on a capped-size buffer) and
     /// normalized so a single-target diagonal multiply is 1 unit.  Results
     /// are cached thread-locally per register size and clamped to
     /// [0.25, 4]× the static units, so a noisy timing can shift break-even
@@ -360,7 +360,7 @@ fn calibrate(num_qubits: usize) -> CostUnits {
         // of the sweep's intrinsic cost (first pass also warms the buffer).
         for _ in 0..4 {
             let t0 = Instant::now();
-            cop.apply_sequential(&mut amps, &mut scratch);
+            cop.apply(&mut amps, &mut scratch);
             best = best.min(t0.elapsed().as_secs_f64());
         }
         best
@@ -422,8 +422,8 @@ fn calibrate(num_qubits: usize) -> CostUnits {
 
 /// Before/after report of one optimization run.
 ///
-/// "Sweep work" is the same quantity the kernels' parallel-fan-out decision
-/// uses ([`crate::kernels::CompiledOp::work_estimate`]): free-index count ×
+/// "Sweep work" is the same quantity the batch and shard fan-out decisions
+/// use ([`crate::kernels::CompiledOp::work_estimate`]): free-index count ×
 /// per-iteration cost, summed over the circuit — an estimate of the complex
 /// multiplies one full application performs.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]

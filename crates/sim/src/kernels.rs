@@ -37,34 +37,36 @@
 //!
 //! ## Parallelism
 //!
-//! Kernels fan out over the free-index space with the (vendored, real
-//! `std::thread`-backed) rayon adapters once a single application carries at
-//! least [`PARALLEL_WORK_THRESHOLD`] complex multiplies of work (free-index
-//! count × the kernel's per-iteration cost); below that the sequential
-//! loop wins.  Distinct iteration indices always touch disjoint amplitude
-//! pairs/blocks, which is what makes the in-place parallel update sound (see
-//! `AmpPtr`).  The fan-out width follows `rayon::current_num_threads()`, so
-//! `rayon::ThreadPoolBuilder::install` scopes it per call tree.
+//! None inside a gate: every kernel runs on the calling thread and indexes
+//! the amplitude slice directly, with no raw pointers (the module-level lint
+//! below keeps it that way).  Splitting one gate's index space across threads synchronises at
+//! every gate and gives up the contiguous SIMD bodies, and measured slower
+//! than one thread.  A register is parallelised only at a coarser grain
+//! where workers never share amplitudes: across the registers of a batch
+//! ([`crate::executor::QuantumExecutor::run_batch`]) and across the chunks of
+//! a sharded register ([`crate::shard`]).  Both fan out once their summed
+//! [`CompiledOp::work_estimate`] reaches [`PARALLEL_WORK_THRESHOLD`].
 //!
 //! The seed's original generic path is retained in [`reference`] as the
 //! correctness oracle for the kernel property tests and as the baseline the
 //! `bench_json` perf-trajectory binary measures speedups against.
+
+#![deny(unsafe_code)]
 
 use crate::circuit::{Circuit, Operation};
 use crate::gate::Gate;
 use crate::simd;
 use crate::state::StateVector;
 use num_complex::Complex64;
-use rayon::prelude::*;
 use std::cell::Cell;
 
 thread_local! {
     /// Number of [`CompiledCircuit`] compilations performed by *this thread*.
     ///
     /// The counter is thread-local on purpose: compilation always happens on
-    /// the thread that calls [`CompiledCircuit::compile_for`] (the kernel
-    /// fan-out parallelises application, never compilation), so a test or
-    /// bench can assert compile-once behaviour — "this solve performed zero
+    /// the thread that calls [`CompiledCircuit::compile_for`] (the batch and
+    /// shard fan-outs parallelise application, never compilation), so a test
+    /// or bench can assert compile-once behaviour — "this solve performed zero
     /// recompilations" — without races against other test threads.
     static CIRCUIT_COMPILES: Cell<usize> = const { Cell::new(0) };
 }
@@ -87,16 +89,14 @@ pub(crate) fn note_circuit_compile() {
     CIRCUIT_COMPILES.with(|c| c.set(c.get() + 1));
 }
 
-/// Minimum amount of work — measured in complex multiplies — in one gate
-/// application before the update fans out across threads.  Each kernel
-/// weights its free-index count by its per-iteration cost (1 for
-/// diagonal/phase/permutation kernels, 4 for the single-qubit pair kernel,
-/// `4^k` for the generic kernel), so light kernels need proportionally more
-/// indices to justify a fan-out.  The value is deliberately conservative
-/// because the vendored rayon spawns scoped threads per call (no pool):
-/// 2^16 complex multiplies is a few hundred microseconds of work, comfortably
-/// above the spawn/join overhead — the same reasoning as `PAR_THRESHOLD` in
-/// `qls-linalg`.  A single-qubit gate crosses it on a 15-qubit register.
+/// Minimum amount of work, in complex multiplies summed over
+/// [`CompiledOp::work_estimate`], before a whole-register fan-out spawns
+/// threads.  It gates exactly two fan-outs: one register per worker in
+/// [`crate::executor::QuantumExecutor::run_batch`], and one chunk (or
+/// exchange pair) per worker in [`crate::shard`].  No single gate
+/// application fans out.  The value is deliberately conservative because
+/// the vendored rayon spawns scoped threads per call (no pool) — the same
+/// reasoning as `PAR_THRESHOLD` in `qls-linalg`.
 pub const PARALLEL_WORK_THRESHOLD: usize = 1 << 16;
 
 const ZERO: Complex64 = Complex64::new(0.0, 0.0);
@@ -111,48 +111,6 @@ fn expand(mut idx: usize, fixed_bits: &[usize]) -> usize {
         idx = ((idx >> b) << (b + 1)) | low;
     }
     idx
-}
-
-/// Shared raw pointer into the amplitude buffer, used by the in-place
-/// parallel kernels.
-///
-/// SAFETY: every kernel enumerates a free-index space in which **distinct
-/// indices expand to disjoint sets of amplitude indices** (the fixed bits
-/// partition the register), so concurrent workers never alias. The pointer
-/// never outlives the `&mut [Complex64]` it was created from, and the scoped
-/// threads it is shared with join before the borrow ends.
-#[derive(Clone, Copy)]
-struct AmpPtr(*mut Complex64);
-
-unsafe impl Send for AmpPtr {}
-unsafe impl Sync for AmpPtr {}
-
-impl AmpPtr {
-    /// Read the amplitude at `i`.  Caller must guarantee `i` is in bounds and
-    /// not concurrently written (see the type-level safety argument).
-    #[inline]
-    unsafe fn get(&self, i: usize) -> Complex64 {
-        *self.0.add(i)
-    }
-
-    /// Write the amplitude at `i` (same contract as [`AmpPtr::get`]).
-    #[inline]
-    unsafe fn set(&self, i: usize, v: Complex64) {
-        *self.0.add(i) = v;
-    }
-}
-
-/// Run `body` for every free index, fanning out across threads when the
-/// caller determined the work justifies it (see [`PARALLEL_WORK_THRESHOLD`]).
-#[inline]
-fn for_each_free(count: usize, parallel: bool, body: impl Fn(usize) + Sync) {
-    if parallel {
-        (0..count).into_par_iter().for_each(body);
-    } else {
-        for p in 0..count {
-            body(p);
-        }
-    }
 }
 
 /// The specialized update a compiled operation dispatches to.
@@ -197,9 +155,8 @@ enum Kernel {
 }
 
 impl Kernel {
-    /// Approximate complex multiplies per free-index iteration, used to
-    /// weight the parallel-fan-out decision against
-    /// [`PARALLEL_WORK_THRESHOLD`].
+    /// Approximate complex multiplies per free-index iteration (the weight
+    /// of [`CompiledOp::work_estimate`]).
     fn unit_cost(&self) -> usize {
         match self {
             Kernel::Identity => 0,
@@ -219,8 +176,8 @@ impl Kernel {
 #[derive(Debug, Clone, PartialEq)]
 pub struct CompiledOp {
     /// Register width the op was compiled for; [`CompiledOp::apply`] rejects
-    /// amplitude buffers smaller than `2^num_qubits` (the kernels write
-    /// through raw pointers, so the length invariant is enforced eagerly).
+    /// amplitude buffers smaller than `2^num_qubits` up front, so a short
+    /// buffer is never left half-updated.
     num_qubits: usize,
     /// OR of the control bits; an index participates iff it contains the mask.
     control_mask: usize,
@@ -394,40 +351,22 @@ impl CompiledOp {
 
     /// Approximate complex multiplies of one application to an `len`-amplitude
     /// register: the free-index count weighted by the kernel's per-iteration
-    /// cost.  This is the same quantity the parallel-fan-out decision uses;
-    /// batch engines use it to choose between per-gate and per-register
-    /// parallelism.
+    /// cost.  The batch and shard engines sum it to decide whether a
+    /// whole-register fan-out is worth its threads; the fusion pass prices
+    /// sweeps with the same quantity.
     pub fn work_estimate(&self, len: usize) -> usize {
         self.free_count(len).saturating_mul(self.kernel.unit_cost())
     }
 
-    /// Apply the compiled operation to `amps` in place.  `scratch` is the
-    /// reusable gather buffer for the generic kernel (untouched otherwise).
+    /// Apply the compiled operation to `amps` in place, on the calling
+    /// thread.  `scratch` is the reusable gather buffer for the generic
+    /// kernel (untouched otherwise).
     ///
     /// `amps` must be a power-of-two length of at least `2^num_qubits` (a
     /// longer buffer is a larger register whose extra qubits the op treats as
-    /// free); anything shorter is rejected *before* the raw-pointer kernels
-    /// run, in release builds too.
+    /// free); anything shorter is rejected before any amplitude changes, in
+    /// release builds too.
     pub fn apply(&self, amps: &mut [Complex64], scratch: &mut Vec<Complex64>) {
-        self.apply_with(amps, scratch, true);
-    }
-
-    /// [`CompiledOp::apply`] with the per-gate thread fan-out disabled, for
-    /// callers that already parallelise at a coarser grain (one register per
-    /// thread, as in [`crate::executor::QuantumExecutor::run_batch`]) and must
-    /// not spawn nested worker threads.  Produces bit-identical results to
-    /// [`CompiledOp::apply`]: the parallel partitioning never reorders
-    /// per-amplitude arithmetic.
-    pub fn apply_sequential(&self, amps: &mut [Complex64], scratch: &mut Vec<Complex64>) {
-        self.apply_with(amps, scratch, false);
-    }
-
-    fn apply_with(
-        &self,
-        amps: &mut [Complex64],
-        scratch: &mut Vec<Complex64>,
-        allow_parallel: bool,
-    ) {
         assert!(
             amps.len().is_power_of_two() && amps.len() >= (1usize << self.num_qubits),
             "operation compiled for {} qubits applied to {} amplitudes",
@@ -437,21 +376,16 @@ impl CompiledOp {
         let count = self.free_count(amps.len());
         let cm = self.control_mask;
         let fixed = self.fixed_bits.as_slice();
-        let parallel = allow_parallel
-            && count.saturating_mul(self.kernel.unit_cost()) >= PARALLEL_WORK_THRESHOLD
-            && rayon::current_num_threads() > 1;
-        // Uncontrolled single-target kernels on the sequential path walk the
-        // `2^(bit+1)`-sized blocks with plain slice loops: no per-index bit
-        // expansion, contiguous access in both block halves, and the compiler
-        // can vectorise.  The expand-based path below covers everything else
-        // (controls, and the threaded fan-out).
-        let sequential = !parallel;
-        let ptr = AmpPtr(amps.as_mut_ptr());
+        // Uncontrolled single-target kernels walk the `2^(bit+1)`-sized
+        // blocks with plain slice loops: no per-index bit expansion,
+        // contiguous access in both block halves, and the compiler can
+        // vectorise.  The expand-based loops below cover everything else
+        // (controls, and the scalar oracle behind `with_scalar_kernels`).
         match &self.kernel {
             Kernel::Identity => {}
             Kernel::SingleQubit { bit, m } => {
                 let (bitmask, m) = (1usize << bit, *m);
-                if cm == 0 && sequential {
+                if cm == 0 {
                     if simd::active() {
                         simd::single_qubit(amps, *bit, &m);
                         return;
@@ -471,7 +405,7 @@ impl CompiledOp {
                 // indices is a contiguous amplitude run whose pair run lives
                 // `bitmask` above — two slice sweeps instead of per-index
                 // bit expansion.  Same per-pair arithmetic, bit-identical.
-                if sequential && simd::active() && fixed[0] >= 1 {
+                if simd::active() && fixed[0] >= 1 {
                     let run = 1usize << fixed[0];
                     let mut p = 0;
                     while p < count {
@@ -482,22 +416,17 @@ impl CompiledOp {
                     }
                     return;
                 }
-                for_each_free(count, parallel, |p| {
-                    // SAFETY: distinct `p` expand to distinct pairs (i0, i1)
-                    // because the target bit is fixed during expansion.
-                    unsafe {
-                        let i0 = expand(p, fixed) | cm;
-                        let i1 = i0 | bitmask;
-                        let a0 = ptr.get(i0);
-                        let a1 = ptr.get(i1);
-                        ptr.set(i0, m[0] * a0 + m[1] * a1);
-                        ptr.set(i1, m[2] * a0 + m[3] * a1);
-                    }
-                });
+                for p in 0..count {
+                    let i0 = expand(p, fixed) | cm;
+                    let i1 = i0 | bitmask;
+                    let (a0, a1) = (amps[i0], amps[i1]);
+                    amps[i0] = m[0] * a0 + m[1] * a1;
+                    amps[i1] = m[2] * a0 + m[3] * a1;
+                }
             }
             Kernel::Diagonal { bit, phases } => {
                 let (bit, phases) = (*bit, *phases);
-                if cm == 0 && sequential {
+                if cm == 0 {
                     // Like `PhaseShift`, the uncontrolled diagonal sweep is
                     // two contiguous scale loops LLVM already vectorizes at
                     // full width — the explicit `simd::diagonal` body
@@ -518,7 +447,7 @@ impl CompiledOp {
                 // free, so within a contiguous run the phase either follows
                 // the uncontrolled diagonal pattern (`bit` below the run
                 // width) or is constant (`bit` above it).
-                if sequential && simd::active() && !fixed.is_empty() && fixed[0] >= 1 {
+                if simd::active() && fixed[0] >= 1 {
                     let run = 1usize << fixed[0];
                     let mut p = 0;
                     while p < count {
@@ -533,18 +462,14 @@ impl CompiledOp {
                     }
                     return;
                 }
-                for_each_free(count, parallel, |p| {
-                    // SAFETY: the target bit is free here, so each `p` maps to
-                    // exactly one amplitude index.
-                    unsafe {
-                        let i = expand(p, fixed) | cm;
-                        ptr.set(i, ptr.get(i) * phases[(i >> bit) & 1]);
-                    }
-                });
+                for p in 0..count {
+                    let i = expand(p, fixed) | cm;
+                    amps[i] *= phases[(i >> bit) & 1];
+                }
             }
             Kernel::PhaseShift { bit, phase } => {
                 let (bitmask, phase) = (1usize << bit, *phase);
-                if cm == 0 && sequential {
+                if cm == 0 {
                     // No explicit SIMD body here: this contiguous
                     // multiply-the-hi-half loop is exactly the shape LLVM
                     // auto-vectorizes, and the measured `simd::phase_shift`
@@ -560,7 +485,7 @@ impl CompiledOp {
                 // Controlled run path (see `SingleQubit`).  No bit-0 caveat
                 // here: every amplitude of a run is multiplied (no identity
                 // lanes), the same arithmetic as the scalar expand loop.
-                if sequential && simd::active() && fixed[0] >= 1 {
+                if simd::active() && fixed[0] >= 1 {
                     let run = 1usize << fixed[0];
                     let mut p = 0;
                     while p < count {
@@ -570,17 +495,13 @@ impl CompiledOp {
                     }
                     return;
                 }
-                for_each_free(count, parallel, |p| {
-                    // SAFETY: one amplitude per `p` (target bit fixed to 1).
-                    unsafe {
-                        let i = expand(p, fixed) | cm | bitmask;
-                        ptr.set(i, ptr.get(i) * phase);
-                    }
-                });
+                for p in 0..count {
+                    amps[expand(p, fixed) | cm | bitmask] *= phase;
+                }
             }
             Kernel::Flip { bit } => {
                 let bitmask = 1usize << bit;
-                if cm == 0 && sequential {
+                if cm == 0 {
                     for block in amps.chunks_exact_mut(2 * bitmask) {
                         let (lo, hi) = block.split_at_mut(bitmask);
                         lo.swap_with_slice(hi);
@@ -591,7 +512,7 @@ impl CompiledOp {
                 // contiguous runs at memcpy speed — a pure permutation, so
                 // gating it on the SIMD toggle only changes speed, and the
                 // scalar expand loop below stays the oracle.
-                if sequential && simd::active() && fixed[0] >= 1 {
+                if simd::active() && fixed[0] >= 1 {
                     let run = 1usize << fixed[0];
                     let mut p = 0;
                     while p < count {
@@ -602,16 +523,10 @@ impl CompiledOp {
                     }
                     return;
                 }
-                for_each_free(count, parallel, |p| {
-                    // SAFETY: disjoint pairs, as in `SingleQubit`.
-                    unsafe {
-                        let i0 = expand(p, fixed) | cm;
-                        let i1 = i0 | bitmask;
-                        let a0 = ptr.get(i0);
-                        ptr.set(i0, ptr.get(i1));
-                        ptr.set(i1, a0);
-                    }
-                });
+                for p in 0..count {
+                    let i0 = expand(p, fixed) | cm;
+                    amps.swap(i0, i0 | bitmask);
+                }
             }
             Kernel::DiagonalK { bits, table } => {
                 let (bits, table) = (bits.as_slice(), table.as_slice());
@@ -620,7 +535,7 @@ impl CompiledOp {
                         .enumerate()
                         .fold(0usize, |acc, (t, &b)| acc | (((i >> b) & 1) << t))
                 };
-                if cm == 0 && sequential {
+                if cm == 0 {
                     if simd::active() {
                         simd::diagonal_k(amps, bits, table);
                         return;
@@ -630,14 +545,10 @@ impl CompiledOp {
                     }
                     return;
                 }
-                for_each_free(count, parallel, |p| {
-                    // SAFETY: every target bit is free, so each `p` maps to
-                    // exactly one amplitude index.
-                    unsafe {
-                        let i = expand(p, fixed) | cm;
-                        ptr.set(i, ptr.get(i) * table[gather(i)]);
-                    }
-                });
+                for p in 0..count {
+                    let i = expand(p, fixed) | cm;
+                    amps[i] *= table[gather(i)];
+                }
             }
             Kernel::SwapBits { bit_a, bit_b } => {
                 let (ma, mb) = (1usize << bit_a, 1usize << bit_b);
@@ -646,7 +557,7 @@ impl CompiledOp {
                 // runs — exchanged at memcpy speed.  A pure permutation, so
                 // gating it on the SIMD toggle only changes speed and the
                 // expand loop below stays the oracle.
-                if sequential && simd::active() && fixed[0] >= 1 {
+                if simd::active() && fixed[0] >= 1 {
                     let run = 1usize << fixed[0];
                     let mut p = 0;
                     while p < count {
@@ -659,17 +570,10 @@ impl CompiledOp {
                     }
                     return;
                 }
-                for_each_free(count, parallel, |p| {
-                    // SAFETY: both target bits are fixed during expansion, so
-                    // each `p` owns the disjoint pair (base|a, base|b).
-                    unsafe {
-                        let base = expand(p, fixed) | cm;
-                        let (ia, ib) = (base | ma, base | mb);
-                        let a = ptr.get(ia);
-                        ptr.set(ia, ptr.get(ib));
-                        ptr.set(ib, a);
-                    }
-                });
+                for p in 0..count {
+                    let base = expand(p, fixed) | cm;
+                    amps.swap(base | ma, base | mb);
+                }
             }
             Kernel::Generic {
                 flat,
@@ -683,43 +587,29 @@ impl CompiledOp {
                 // gather/scatter around it is index arithmetic either way),
                 // so it is gated only on the thread-local toggle.
                 let use_simd = simd::active();
-                let block = |scratch: &mut Vec<Complex64>, out: &mut Vec<Complex64>, p: usize| {
-                    scratch.resize(dim, ZERO);
-                    // SAFETY: all indices of one block share the same `base`
-                    // and differ only in the fixed target bits, so blocks of
-                    // distinct `p` are disjoint.
-                    unsafe {
-                        let base = expand(p, fixed) | cm;
-                        for (s, &off) in scratch.iter_mut().zip(offsets) {
-                            *s = ptr.get(base | off);
-                        }
-                        if use_simd {
-                            out.resize(dim, ZERO);
-                            simd::generic_matvec(col_re, col_im, dim, scratch, out);
-                            for (o, &off) in out.iter().zip(offsets) {
-                                ptr.set(base | off, *o);
-                            }
-                        } else {
-                            for (r, &off) in offsets.iter().enumerate() {
-                                let row = &flat[r * dim..(r + 1) * dim];
-                                let mut acc = ZERO;
-                                for (mrc, s) in row.iter().zip(scratch.iter()) {
-                                    acc += mrc * s;
-                                }
-                                ptr.set(base | off, acc);
-                            }
-                        }
+                // One buffer holds both the gathered block and the SIMD
+                // matvec's output.
+                scratch.resize(2 * dim, ZERO);
+                let (gathered, out) = scratch.split_at_mut(dim);
+                for p in 0..count {
+                    let base = expand(p, fixed) | cm;
+                    for (s, &off) in gathered.iter_mut().zip(offsets) {
+                        *s = amps[base | off];
                     }
-                };
-                if parallel {
-                    (0..count).into_par_iter().for_each_init(
-                        || (vec![ZERO; dim], vec![ZERO; dim]),
-                        |(s, o), p| block(s, o, p),
-                    );
-                } else {
-                    let mut out_buf = Vec::new();
-                    for p in 0..count {
-                        block(scratch, &mut out_buf, p);
+                    if use_simd {
+                        simd::generic_matvec(col_re, col_im, dim, gathered, out);
+                        for (o, &off) in out.iter().zip(offsets) {
+                            amps[base | off] = *o;
+                        }
+                    } else {
+                        for (r, &off) in offsets.iter().enumerate() {
+                            let row = &flat[r * dim..(r + 1) * dim];
+                            let mut acc = ZERO;
+                            for (mrc, s) in row.iter().zip(gathered.iter()) {
+                                acc += mrc * s;
+                            }
+                            amps[base | off] = acc;
+                        }
                     }
                 }
             }
@@ -885,18 +775,9 @@ impl CompiledCircuit {
             .fold(0usize, |a, w| a.saturating_add(w))
     }
 
-    /// Apply all compiled operations to `state` in order, in place.
+    /// Apply all compiled operations to `state` in order, in place, on the
+    /// calling thread.
     pub fn apply(&self, state: &mut StateVector) {
-        self.apply_with(state, true);
-    }
-
-    /// [`CompiledCircuit::apply`] with the per-gate thread fan-out disabled
-    /// (see [`CompiledOp::apply_sequential`]); bit-identical results.
-    pub fn apply_sequential(&self, state: &mut StateVector) {
-        self.apply_with(state, false);
-    }
-
-    fn apply_with(&self, state: &mut StateVector, allow_parallel: bool) {
         assert!(
             self.num_qubits <= state.num_qubits(),
             "compiled circuit needs {} qubits, register has {}",
@@ -905,7 +786,7 @@ impl CompiledCircuit {
         );
         let (amps, scratch) = state.amps_and_scratch();
         for op in &self.ops {
-            op.apply_with(amps, scratch, allow_parallel);
+            op.apply(amps, scratch);
         }
     }
 }
@@ -1128,8 +1009,8 @@ mod tests {
     #[test]
     #[should_panic(expected = "compiled for 16 qubits")]
     fn apply_rejects_short_amplitude_buffers() {
-        // The kernels write through raw pointers, so a buffer shorter than the
-        // compiled register must be rejected before any pointer arithmetic.
+        // A buffer shorter than the compiled register is rejected before any
+        // amplitude is touched, not midway through a sweep.
         let op = CompiledOp::compile(&Operation::new(Gate::X, vec![0], vec![15]), 16);
         let mut amps = vec![ZERO; 4];
         let mut scratch = Vec::new();

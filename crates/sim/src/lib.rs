@@ -25,25 +25,26 @@
 //!    k-qubit `Gate::Unitary` falls back to a generic blocked mat-vec fed
 //!    from a reusable scratch buffer.  Controlled variants enumerate just the
 //!    control-satisfied subspace (`2^(n-c)` instead of `2^n` indices).
-//! 2. **Real thread fan-out.**  Once one application carries at least
-//!    [`PARALLEL_WORK_THRESHOLD`] complex multiplies of work (iteration
-//!    count weighted by the kernel's per-iteration cost), the update is split
-//!    into contiguous index blocks across `rayon::current_num_threads()`
-//!    scoped threads (the vendored rayon is backed by `std::thread::scope`).
-//!    Partitioning never reorders per-amplitude arithmetic, so results are
-//!    bit-identical at every worker count
-//!    (`rayon::ThreadPoolBuilder::install` pins the count in tests).
+//! 2. **Parallel across registers, never inside a gate.**  Every kernel
+//!    runs on the calling thread.  Threads split work only where each worker
+//!    owns whole registers or chunks: across the registers of a batch
+//!    (step 3) and across the chunks of a sharded register (step 5), each
+//!    once the summed work reaches [`PARALLEL_WORK_THRESHOLD`] complex
+//!    multiplies.  The fan-out width follows `rayon::current_num_threads()`
+//!    (the vendored rayon is backed by `std::thread::scope`).  No worker
+//!    reorders per-amplitude arithmetic, so results are bit-identical at
+//!    every worker count (`rayon::ThreadPoolBuilder::install` pins the count
+//!    in tests).
 //!
 //! 3. **Compile once, execute many.**  [`QuantumExecutor`] ([`executor`]) is
 //!    the execution-engine layer the rest of the workspace builds on: it owns
 //!    a [`CompiledCircuit`] compiled exactly once at construction and exposes
 //!    `run`/`run_in_place` plus a batched `run_batch` that applies the one
 //!    compiled circuit to many registers with **coarse-grained fan-out across
-//!    the batch** (one register per worker, per-gate parallelism disabled
-//!    inside the fan-out so threads never nest).  Construction compiles,
-//!    execution never does; the thread-local
-//!    [`kernels::circuit_compile_count`] counter makes that contract
-//!    testable.
+//!    the batch** (one register per worker, each running the same
+//!    single-threaded kernels).  Construction compiles, execution never
+//!    does; the thread-local [`kernels::circuit_compile_count`] counter makes
+//!    that contract testable.
 //!
 //! 4. **Optimize before compiling.**  The circuit-optimizer pass ([`fuse`])
 //!    rewrites the operation list ahead of compilation — runs of adjacent

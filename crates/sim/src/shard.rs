@@ -538,7 +538,7 @@ fn apply_per_shard(state: &mut ShardedState, ops: &[CompiledOp]) {
     let total = per_shard.saturating_mul(state.shards.len());
     let run = |sh: &mut Shard| {
         for op in ops {
-            op.apply_sequential(&mut sh.amps, &mut sh.scratch);
+            op.apply(&mut sh.amps, &mut sh.scratch);
         }
     };
     if state.shards.len() >= 2

@@ -6,8 +6,8 @@
 //! amplitudes.  Gates are applied **in place** through the compiled
 //! specialized kernels of [`crate::kernels`] (dispatch table and parallelism
 //! model documented there): [`StateVector::apply_circuit`] compiles each
-//! operation once and dispatches to the cheapest kernel, and above the
-//! parallel threshold the update fans out across real threads.
+//! operation once and dispatches to the cheapest kernel, on the calling
+//! thread.
 
 use crate::circuit::{Circuit, Operation};
 use crate::kernels::{CompiledCircuit, CompiledOp};

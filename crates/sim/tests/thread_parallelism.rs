@@ -1,16 +1,18 @@
 //! Thread-count regression tests: gate application must produce *identical*
-//! results whatever the worker count, because the kernels partition the index
-//! space without changing per-amplitude arithmetic (no reductions are
-//! reordered).  The vendored rayon's `ThreadPoolBuilder::install` scopes the
-//! fan-out width, so the parallel code paths are exercised deterministically
-//! even on single-core CI machines.
+//! results whatever the worker count.  The kernels run a register on the
+//! calling thread, so no pool width may change a single amplitude; these
+//! tests pin that down on registers wide enough that every kernel class is
+//! far above [`PARALLEL_WORK_THRESHOLD`], where a per-gate fan-out would
+//! engage if one existed.  The vendored rayon's `ThreadPoolBuilder::install`
+//! scopes the pool width, so the checks run deterministically even on
+//! single-core CI machines.
 
 use num_complex::Complex64;
 use qls_sim::{CMatrix, Circuit, Gate, StateVector, PARALLEL_WORK_THRESHOLD};
 use rayon::ThreadPoolBuilder;
 
 /// A register wide enough that every kernel class crosses
-/// [`PARALLEL_WORK_THRESHOLD`] and actually fans out.
+/// [`PARALLEL_WORK_THRESHOLD`] in a single application.
 fn wide_circuit() -> Circuit {
     // The lightest case is the singly-controlled SWAP/flip family at
     // 2^(n-2) free indices of one complex multiply each, so pick
@@ -96,8 +98,8 @@ fn vendored_rayon_reports_real_worker_count() {
 #[test]
 fn generic_kernel_parallel_path_uses_per_worker_scratch() {
     // A 3-qubit dense unitary on a wide register drives the generic kernel
-    // over the parallel threshold (2^(n-3) blocks x 64 multiplies); the
-    // per-worker scratch buffers must not alias.
+    // over the fan-out threshold (2^(n-3) blocks x 64 multiplies); its one
+    // reused scratch buffer must give the same blocks at any pool width.
     let n = (PARALLEL_WORK_THRESHOLD.trailing_zeros() as usize) - 2; // 14
     let mut c = Circuit::new(n);
     for q in 0..n {

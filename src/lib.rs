@@ -21,8 +21,8 @@
 //! * [`poly`] (`qls-poly`) — Chebyshev machinery and the Eq. (4) inverse
 //!   polynomial;
 //! * [`sim`] (`qls-sim`) — the state-vector quantum simulator (compiled
-//!   in-place gate kernels with real thread fan-out; see the performance
-//!   model in `qls_sim::kernels`), the circuit-optimizer pass
+//!   in-place, single-threaded gate kernels; see the performance model in
+//!   `qls_sim::kernels`), the circuit-optimizer pass
 //!   (`qls_sim::fuse`: gate fusion + diagonal merging, on by default through
 //!   `OptLevel::Fuse`, reported by `CircuitStats`), and the compile-once
 //!   execution engine (`qls_sim::QuantumExecutor`: optimize + compile a

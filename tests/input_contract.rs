@@ -107,3 +107,91 @@ fn zero_right_hand_side_converges_to_zero() {
         assert!(x.iter().all(|&v| v == 0.0), "{mode:?}: x = {x:?}");
     }
 }
+
+/// A circuit-mode inverter with the given execution mode (cache off).
+fn inverter_with(a: &Matrix<f64>, exec_mode: ExecMode) -> Result<QsvtInverter, QsvtError> {
+    QsvtInverter::with_config(
+        a,
+        0.05,
+        QsvtMode::CircuitReal,
+        OptLevel::default(),
+        exec_mode,
+        CachePolicy::Disabled,
+    )
+}
+
+#[test]
+fn invalid_shard_counts_are_rejected_at_construction() {
+    let (a, b) = system(4, 406);
+    let flat = inverter_with(&a, ExecMode::Flat).unwrap();
+    let qubits = flat.qsvt_circuit().unwrap().circuit().num_qubits();
+    for shards in [0, 3, 6, 1 << (qubits + 1)] {
+        assert!(
+            matches!(
+                inverter_with(&a, ExecMode::Sharded { shards }),
+                Err(QsvtError::InvalidInput(_))
+            ),
+            "shards = {shards} on a {qubits}-qubit register"
+        );
+    }
+    // Every power of two up to one amplitude per shard still builds and
+    // solves.  Fusion is priced for the shard boundary, so the fused op list
+    // (and hence the last bits) may differ from the flat register's.
+    let (flat_direction, _) = flat.solve_direction(&b).unwrap();
+    for shards in [1, 2, 1 << qubits] {
+        let sharded = inverter_with(&a, ExecMode::Sharded { shards }).unwrap();
+        let (direction, _) = sharded.solve_direction(&b).unwrap();
+        let diff = (&direction - &flat_direction).norm2();
+        assert!(diff < 1e-12, "shards = {shards}: |sharded - flat| = {diff}");
+    }
+}
+
+#[test]
+fn wrong_length_right_hand_side_is_rejected_by_the_inverter() {
+    let (a, b) = system(4, 407);
+    let short = Vector::from_f64_slice(&[1.0, 0.0]);
+    let long = Vector::zeros(8);
+    for mode in MODES {
+        let inverter = QsvtInverter::new(&a, 0.05, mode).unwrap();
+        for bad in [&short, &long] {
+            assert!(
+                matches!(
+                    inverter.solve_direction(bad),
+                    Err(QsvtError::InvalidInput(_))
+                ),
+                "{mode:?}: solve_direction, len {}",
+                bad.len()
+            );
+            assert!(
+                matches!(
+                    inverter.direction_error(bad),
+                    Err(QsvtError::InvalidInput(_))
+                ),
+                "{mode:?}: direction_error, len {}",
+                bad.len()
+            );
+        }
+        // In a batch the bad slots fail alone; the others still solve.
+        let zero = Vector::zeros(4);
+        let batch = [
+            b.clone(),
+            short.clone(),
+            zero.clone(),
+            long.clone(),
+            b.clone(),
+        ];
+        let out = inverter.solve_direction_batch_checked(&batch);
+        assert_eq!(out.len(), batch.len(), "{mode:?}");
+        let good = inverter.solve_direction(&b).unwrap().0;
+        for i in [0, 4] {
+            assert_eq!(out[i].as_ref().unwrap().0, good, "{mode:?}: slot {i}");
+        }
+        assert_eq!(out[2].as_ref().unwrap().0, zero, "{mode:?}: zero slot");
+        for i in [1, 3] {
+            assert!(
+                matches!(out[i], Err(QsvtError::InvalidInput(_))),
+                "{mode:?}: slot {i}"
+            );
+        }
+    }
+}
