@@ -16,13 +16,25 @@ use crate::vector::Vector;
 /// Generic over [`LinearOperator`], so the residual costs O(nnz) on sparse or
 /// matrix-free operators (dense [`crate::Matrix`] callers are unchanged).
 pub fn scaled_residual<T: Real, Op: LinearOperator<T>>(a: &Op, x: &Vector<T>, b: &Vector<T>) -> T {
+    residual_and_scaled(a, x, b).1
+}
+
+/// The residual `r = b − A x̃` together with its scaled norm
+/// `ω = ‖r‖₂ / ‖b‖₂` — what [`scaled_residual`] computes, with `r` kept for
+/// a caller that needs it next (the refinement loop's correction solve).
+pub(crate) fn residual_and_scaled<T: Real, Op: LinearOperator<T>>(
+    a: &Op,
+    x: &Vector<T>,
+    b: &Vector<T>,
+) -> (Vector<T>, T) {
     let r = b - &a.matvec(x);
     let nb = b.norm2();
-    if nb == T::zero() {
+    let omega = if nb == T::zero() {
         r.norm2()
     } else {
         r.norm2() / nb
-    }
+    };
+    (r, omega)
 }
 
 /// Relative forward error `‖x − x̃‖₂ / ‖x‖₂` with respect to a reference

@@ -41,6 +41,7 @@ use crate::lu::{LinalgError, LuFactorization};
 use crate::matrix::Matrix;
 use crate::operator::LinearOperator;
 use crate::scalar::Real;
+use crate::simd;
 use crate::sparse::SparseMatrix;
 use crate::stencil::{StencilNd, StencilOperator};
 use crate::tridiag::TridiagonalMatrix;
@@ -278,6 +279,19 @@ impl<T: Real> InnerSolver<T> for ThomasFactorization<T> {
 // Jacobi-preconditioned CG and BiCGSTAB over any LinearOperator.
 // ---------------------------------------------------------------------------
 
+/// The Jacobi step `z = D⁻¹ r`, written into a reused buffer.
+#[inline(always)]
+fn precondition<T: Real>(inv_diag: &Vector<T>, r: &Vector<T>, z: &mut Vector<T>) {
+    for ((zi, &ri), &di) in z
+        .as_mut_slice()
+        .iter_mut()
+        .zip(r.iter())
+        .zip(inv_diag.iter())
+    {
+        *zi = ri * di;
+    }
+}
+
 /// Jacobi-preconditioned conjugate gradients for SPD systems, matrix-free
 /// over any [`LinearOperator`] at the low precision.
 ///
@@ -322,18 +336,20 @@ impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
         })
     }
 
-    fn precondition(&self, r: &Vector<T>) -> Vector<T> {
-        r.iter()
-            .zip(self.inv_diag.iter())
-            .map(|(&ri, &di)| ri * di)
-            .collect()
-    }
-
     fn solve_impl(&self, b: &Vector<T>, transposed: bool) -> Result<Vector<T>, LinalgError> {
         let n = self.op.nrows();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch);
         }
+        // The whole iteration runs under one `avx2,fma` dispatch.
+        simd::dispatch(
+            #[inline(always)]
+            || self.iterate(b, n, transposed),
+        )
+    }
+
+    #[inline(always)]
+    fn iterate(&self, b: &Vector<T>, n: usize, transposed: bool) -> Result<Vector<T>, LinalgError> {
         let bnorm = b.norm2();
         if bnorm == T::zero() {
             return Ok(Vector::zeros(n));
@@ -349,7 +365,8 @@ impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
 
         let mut x = Vector::zeros(n);
         let mut r = b.clone();
-        let mut z = self.precondition(&r);
+        let mut z = Vector::zeros(n);
+        precondition(&self.inv_diag, &r, &mut z);
         let mut p = z.clone();
         let mut rz = r.dot(&z);
         let mut best = x.clone();
@@ -374,16 +391,19 @@ impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
             }
             if rnorm < best_res {
                 best_res = rnorm;
-                best = x.clone();
+                best.as_mut_slice().copy_from_slice(x.as_slice());
             }
-            z = self.precondition(&r);
+            precondition(&self.inv_diag, &r, &mut z);
             let rz_new = r.dot(&z);
             if rz_new == T::zero() {
                 break;
             }
             let beta = rz_new / rz;
             rz = rz_new;
-            p = &z + &(&p * beta);
+            // p = z + β p, rounding the product and the sum separately.
+            for (pi, &zi) in p.as_mut_slice().iter_mut().zip(z.iter()) {
+                *pi = zi + *pi * beta;
+            }
         }
         Ok(best)
     }
@@ -439,18 +459,20 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
         }
     }
 
-    fn precondition(&self, r: &Vector<T>) -> Vector<T> {
-        r.iter()
-            .zip(self.inv_diag.iter())
-            .map(|(&ri, &di)| ri * di)
-            .collect()
-    }
-
     fn solve_impl(&self, b: &Vector<T>, transposed: bool) -> Result<Vector<T>, LinalgError> {
         let n = self.op.nrows();
         if b.len() != n {
             return Err(LinalgError::DimensionMismatch);
         }
+        // The whole iteration runs under one `avx2,fma` dispatch.
+        simd::dispatch(
+            #[inline(always)]
+            || self.iterate(b, n, transposed),
+        )
+    }
+
+    #[inline(always)]
+    fn iterate(&self, b: &Vector<T>, n: usize, transposed: bool) -> Result<Vector<T>, LinalgError> {
         let bnorm = b.norm2();
         if bnorm == T::zero() {
             return Ok(Vector::zeros(n));
@@ -472,6 +494,9 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
         let mut omega = T::one();
         let mut v = Vector::zeros(n);
         let mut p = Vector::zeros(n);
+        let mut p_hat = Vector::zeros(n);
+        let mut s = Vector::zeros(n);
+        let mut s_hat = Vector::zeros(n);
         let mut best = x.clone();
         let mut best_res = bnorm;
         for _ in 0..self.max_iterations {
@@ -481,16 +506,20 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
             }
             let beta = (rho_new / rho) * (alpha / omega);
             rho = rho_new;
-            // p = r + beta (p − omega v)
-            p = &r + &(&(&p - &(&v * omega)) * beta);
-            let p_hat = self.precondition(&p);
+            // p = r + β (p − ω v), every product and sum rounded separately.
+            for ((pi, &ri), &vi) in p.as_mut_slice().iter_mut().zip(r.iter()).zip(v.iter()) {
+                *pi = ri + (*pi - vi * omega) * beta;
+            }
+            precondition(&self.inv_diag, &p, &mut p_hat);
             v = mv(&p_hat);
             let rhv = r_hat.dot(&v);
             if rhv == T::zero() {
                 break;
             }
             alpha = rho / rhv;
-            let s = &r - &(&v * alpha);
+            for ((si, &ri), &vi) in s.as_mut_slice().iter_mut().zip(r.iter()).zip(v.iter()) {
+                *si = ri - vi * alpha;
+            }
             x.axpy(alpha, &p_hat);
             let snorm = s.norm2();
             if snorm <= tol {
@@ -498,9 +527,9 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
             }
             if snorm < best_res {
                 best_res = snorm;
-                best = x.clone();
+                best.as_mut_slice().copy_from_slice(x.as_slice());
             }
-            let s_hat = self.precondition(&s);
+            precondition(&self.inv_diag, &s, &mut s_hat);
             let t = mv(&s_hat);
             let tt = t.dot(&t);
             if tt == T::zero() {
@@ -508,14 +537,16 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
             }
             omega = t.dot(&s) / tt;
             x.axpy(omega, &s_hat);
-            r = &s - &(&t * omega);
+            for ((ri, &si), &ti) in r.as_mut_slice().iter_mut().zip(s.iter()).zip(t.iter()) {
+                *ri = si - ti * omega;
+            }
             let rnorm = r.norm2();
             if rnorm <= tol {
                 return Ok(x);
             }
             if rnorm < best_res {
                 best_res = rnorm;
-                best = x.clone();
+                best.as_mut_slice().copy_from_slice(x.as_slice());
             }
         }
         Ok(best)

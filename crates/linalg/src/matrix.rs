@@ -29,16 +29,56 @@ pub(crate) const PAR_THRESHOLD: usize = 64 * 64 * 64;
 /// row `i`, fanning out across threads when `work` (total scalar
 /// multiply-adds) reaches [`PAR_THRESHOLD`].  Each output entry depends only
 /// on its own row, so the result is bit-identical at any thread count.
+///
+/// Each worker's chunk of rows runs through [`simd::dispatch`] (a target
+/// feature does not cross threads), so `f`'s `mul_add`s become hardware
+/// fmas where the CPU has them; pass `f` as an `#[inline(always)]` closure
+/// so it is compiled into the dispatched chunk loop.
 pub(crate) fn par_map_rows<T: Real>(
     work: usize,
     rows: usize,
     f: impl Fn(usize) -> T + Sync,
 ) -> Vector<T> {
-    let data: Vec<T> = if work >= PAR_THRESHOLD {
-        (0..rows).into_par_iter().map(f).collect()
-    } else {
-        (0..rows).map(f).collect()
+    map_rows(work, rows, true, f)
+}
+
+/// [`par_map_rows`] compiled at the baseline only, for the scalar oracles
+/// (`Matrix::matvec_scalar`, `SparseMatrix::matvec_scalar`).
+pub(crate) fn par_map_rows_baseline<T: Real>(
+    work: usize,
+    rows: usize,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vector<T> {
+    map_rows(work, rows, false, f)
+}
+
+fn map_rows<T: Real>(
+    work: usize,
+    rows: usize,
+    dispatched: bool,
+    f: impl Fn(usize) -> T + Sync,
+) -> Vector<T> {
+    /// Rows per parallel task: one dispatch per chunk, not per row.
+    const CHUNK: usize = 1024;
+    let fill = |row0: usize, chunk: &mut [T]| {
+        let rows = chunk.iter_mut().zip(row0..);
+        if dispatched {
+            simd::dispatch(
+                #[inline(always)]
+                || rows.for_each(|(o, i)| *o = f(i)),
+            )
+        } else {
+            rows.for_each(|(o, i)| *o = f(i))
+        }
     };
+    let mut data = vec![T::zero(); rows];
+    if work >= PAR_THRESHOLD {
+        data.par_chunks_mut(CHUNK)
+            .enumerate()
+            .for_each(|(c, chunk)| fill(c * CHUNK, chunk));
+    } else {
+        fill(0, &mut data);
+    }
     Vector::from_vec(data)
 }
 
@@ -215,7 +255,7 @@ impl<T: Real> Matrix<T> {
         assert_eq!(self.cols, x.len(), "matvec: dimension mismatch");
         let xs = x.as_slice();
         let work = self.rows * self.cols;
-        par_map_rows(work, self.rows, |i| {
+        par_map_rows_baseline(work, self.rows, |i| {
             self.row(i)
                 .iter()
                 .zip(xs)

@@ -13,7 +13,7 @@
 //! is validated: both must exhibit the geometric residual contraction of
 //! Theorem III.1 with the appropriate contraction factor.
 
-use crate::error::scaled_residual;
+use crate::error::residual_and_scaled;
 use crate::inner::{FactorizableOperator, InnerSolver, InnerSolverKind};
 use crate::lu::LinalgError;
 use crate::matrix::Matrix;
@@ -208,7 +208,10 @@ impl<H: Real, L: Real, Op: FactorizableOperator<H>> ClassicalRefiner<H, L, Op> {
         let mut x: Vector<H> = x_low.convert();
 
         let mut steps = Vec::new();
-        let omega0 = scaled_residual(&self.a_high, &x, b).to_f64();
+        // The residual behind each ω check is the next correction's
+        // right-hand side, so one matvec per iteration serves both.
+        let (mut r, omega0) = residual_and_scaled(&self.a_high, &x, b);
+        let omega0 = omega0.to_f64();
         steps.push(RefinementStep {
             iteration: 0,
             scaled_residual: omega0,
@@ -223,16 +226,15 @@ impl<H: Real, L: Real, Op: FactorizableOperator<H>> ClassicalRefiner<H, L, Op> {
         }
 
         for it in 1..=self.options.max_iterations {
-            // Residual in high precision.
-            let r = b - &self.a_high.matvec(&x);
             // Correction solve in low precision (reusing the factors).
             let r_low: Vector<L> = r.convert();
             let e_low = self.inner_low.solve(&r_low)?;
             let e: Vector<H> = e_low.convert();
-            // Update in high precision.
+            // Update in high precision, then the high-precision residual.
             x += &e;
-
-            let omega = scaled_residual(&self.a_high, &x, b).to_f64();
+            let (r_next, omega) = residual_and_scaled(&self.a_high, &x, b);
+            r = r_next;
+            let omega = omega.to_f64();
             steps.push(RefinementStep {
                 iteration: it,
                 scaled_residual: omega,

@@ -1,13 +1,39 @@
-//! SIMD (`f64x4`) kernels for the crate's three hot loops: dense matvec,
-//! CSR SpMV and the dense matrix product.
+//! Runtime `avx2,fma` dispatch for the crate's hot loops, and the `f64x4`
+//! kernels for dense matvec, CSR SpMV and the dense matrix product.
+//!
+//! # Dispatch
+//!
+//! On the x86-64 baseline target (SSE2) every `mul_add` — scalar `f32`/`f64`
+//! or lane-wise `f64x4` — lowers to a call into libm's `fma`, which costs
+//! more than the multiply and add it replaces and blocks vectorisation.
+//! [`dispatch`] runs a closure inside an `#[target_feature(enable =
+//! "avx2,fma")]` function when the cached [`wide::runtime::avx2_fma_available`]
+//! check passes, so the same `Real`-generic body compiles to inline `vfmadd`
+//! instructions and 256-bit loads; otherwise it runs the body as compiled at
+//! the baseline.  Hardware `vfmadd` and libm `fma` are both correctly rounded,
+//! and the dispatched body executes the same IEEE operations in the same
+//! order (Rust never contracts `a * b + c` into an fma on its own), so the
+//! dispatch is unobservable in the results.
+//!
+//! Every hot loop of the vector, operator and inner-solver layers runs
+//! through it: `Vector::dot` / `norm2` / `axpy`, the `f64x4` kernels below,
+//! the CSR, tridiagonal and stencil matvecs at every precision (via
+//! [`crate::matrix::par_map_rows`]) and the CG / BiCGSTAB iterations.  A
+//! target feature does not cross threads, so the parallel fan-outs dispatch
+//! inside each worker's chunk.  The documented oracles never dispatch:
+//! `Matrix::matvec_scalar` and `Matrix::matmul_scalar` (which also serve the
+//! dense products at non-`f64` precisions) and `SparseMatrix::matvec_scalar`
+//! stay compiled at the baseline, so the equivalence suites compare two
+//! compilations and `bench_json` measures the SIMD kernels against the plain
+//! loops.
 //!
 //! # Lane convention: one **output** element per lane
 //!
-//! Every kernel here assigns each vector lane its own output element (an
-//! output row for the matvecs, an output column within a row for `matmul`)
-//! and accumulates that element in exactly the scalar kernel's operation
-//! order: ascending column / ascending `k`, one fused multiply-add per
-//! term, no horizontal reductions.  Splitting one row's sum across lanes
+//! Every `f64x4` kernel here assigns each vector lane its own output element
+//! (an output row for the matvecs, an output column within a row for
+//! `matmul`) and accumulates that element in exactly the scalar kernel's
+//! operation order: ascending column / ascending `k`, one fused multiply-add
+//! per term, no horizontal reductions.  Splitting one row's sum across lanes
 //! and reducing at the end would be faster on long rows but reassociates
 //! the sum; this layout keeps every SIMD result **bit-identical** to the
 //! scalar oracle (`matvec_scalar` / `matmul_scalar`), which in turn keeps
@@ -20,24 +46,14 @@
 //! fewer than 4 rows falls back to the scalar loop (identical results, so
 //! the split point is unobservable).  Inside `matmul`'s row-sweep the
 //! columns are chunked by 4 with a scalar tail.  The CSR kernel handles
-//! ragged rows by padding short lanes with `fma(0, 0, acc)`, which is an
-//! exact no-op (`acc` is never `-0.0`: it starts at `+0.0` and an fma can
-//! only produce `-0.0` from a `-0.0` addend), so empty rows, single-entry
-//! rows and rows of wildly different lengths all stay bit-identical to the
-//! scalar fold.
-//!
-//! # Dispatch
-//!
-//! On the x86-64 baseline target (SSE2) a lane-wise `f64::mul_add` lowers
-//! to a libm call, which is *slower* than scalar code.  Each kernel is
-//! therefore compiled twice — once at the baseline, once inside an
-//! `#[target_feature(enable = "avx2,fma")]` clone where the same body
-//! becomes packed 256-bit `vfmadd` loops — and dispatched at runtime via
-//! the cached [`wide::runtime::avx2_fma_available`] check.  Both versions
-//! execute the same IEEE operations in the same order, so the dispatch is
-//! also unobservable in the results.  Non-`f64` precisions (`f32`,
-//! `Emulated`) never reach these kernels: the public entry points test
-//! `TypeId` and fall back to the scalar path.
+//! ragged rows by padding short lanes with `fma(−0, +0, acc) = acc + (−0)`,
+//! an exact no-op for every `acc`, signed zeros included.  (`fma(0, 0, acc)`
+//! is not: a row can reach `−0.0` from a `+0.0` start when a tiny negative
+//! product underflows, and `−0 + (+0)` is `+0`.)  So empty rows,
+//! single-entry rows and rows of wildly different lengths all stay
+//! bit-identical to the scalar fold.  The `f64x4` kernels serve `T = f64`
+//! only; the public entry points test `TypeId` and send other precisions
+//! (`f32`, `Emulated`) to their dispatched `Real`-generic loops.
 
 use crate::scalar::Real;
 use core::any::TypeId;
@@ -45,6 +61,33 @@ use wide::f64x4;
 
 /// Lane width of the SIMD kernels (output rows per group).
 pub(crate) const LANES: usize = 4;
+
+/// Run `body` compiled with `avx2,fma` enabled when this CPU has both, and
+/// as compiled at the baseline otherwise (see the module docs: the two runs
+/// are bit-identical, only the instruction encoding differs).
+///
+/// Pass `body` as an `#[inline(always)]` closure.  A closure is a function
+/// of its own, compiled at the baseline; only when it is inlined into the
+/// `avx2,fma` clone does its code take the clone's features, and LLVM keeps
+/// large closures (such as the `f64x4` kernels below) out of line otherwise.
+/// Debug builds inline nothing further down (`mul_add` stays a call), so
+/// they run the baseline code on both paths.
+#[inline(always)]
+pub(crate) fn dispatch<R>(body: impl FnOnce() -> R) -> R {
+    #[cfg(target_arch = "x86_64")]
+    {
+        #[target_feature(enable = "avx2,fma")]
+        fn accelerated<R>(body: impl FnOnce() -> R) -> R {
+            body()
+        }
+        if wide::runtime::avx2_fma_available() {
+            // SAFETY: a `target_feature` function may only run on a CPU
+            // with those features, and avx2+fma presence was just verified.
+            return unsafe { accelerated(body) };
+        }
+    }
+    body()
+}
 
 /// True when the scalar type `T` is exactly `f64` (the only precision with
 /// a SIMD path; everything else uses the scalar oracles).
@@ -67,29 +110,6 @@ pub(crate) fn as_f64_mut<T: Real>(s: &mut [T]) -> &mut [f64] {
     debug_assert!(is_f64::<T>());
     // SAFETY: caller checked `T == f64` via `is_f64`; same layout, same len.
     unsafe { core::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<f64>(), s.len()) }
-}
-
-/// Generate the baseline + `avx2,fma` clones of a kernel body and a public
-/// dispatcher that picks at runtime (see the module docs: both clones run
-/// the identical operation sequence, only the instruction encoding differs).
-macro_rules! multiversioned {
-    ($(#[$meta:meta])* $name:ident => $body:ident ( $($arg:ident : $ty:ty),* $(,)? )) => {
-        $(#[$meta])*
-        pub(crate) fn $name($($arg: $ty),*) {
-            #[cfg(target_arch = "x86_64")]
-            {
-                #[target_feature(enable = "avx2,fma")]
-                unsafe fn accelerated($($arg: $ty),*) {
-                    $body($($arg),*)
-                }
-                if ::wide::runtime::avx2_fma_available() {
-                    // SAFETY: avx2+fma presence verified on this CPU.
-                    return unsafe { accelerated($($arg),*) };
-                }
-            }
-            $body($($arg),*)
-        }
-    };
 }
 
 // ---------------------------------------------------------------------------
@@ -124,16 +144,19 @@ fn dense_matvec_body(a: &[f64], cols: usize, x: &[f64], out: &mut [f64]) {
     }
 }
 
-multiversioned! {
-    /// `out[i] = Σ_j a[i][j]·x[j]` for the block of rows stored in `a`,
-    /// bit-identical to the scalar row fold.
-    dense_matvec => dense_matvec_body(a: &[f64], cols: usize, x: &[f64], out: &mut [f64])
+/// `out[i] = Σ_j a[i][j]·x[j]` for the block of rows stored in `a`,
+/// bit-identical to the scalar row fold.
+pub(crate) fn dense_matvec(a: &[f64], cols: usize, x: &[f64], out: &mut [f64]) {
+    dispatch(
+        #[inline(always)]
+        || dense_matvec_body(a, cols, x, out),
+    )
 }
 
 // ---------------------------------------------------------------------------
 // CSR SpMV: lane `l` of a group accumulates output row `row0 + 4g + l`; the
 // group sweeps entry positions `t = 0..max_row_len`, padding exhausted lanes
-// with the exact no-op `fma(0, 0, acc)`.
+// with the exact no-op `fma(-0, +0, acc)`.
 // ---------------------------------------------------------------------------
 
 #[inline(always)]
@@ -159,7 +182,7 @@ fn spmv_body(
         }
         let mut acc = f64x4::ZERO;
         for t in 0..max_len {
-            let mut v = [0.0f64; LANES];
+            let mut v = [-0.0f64; LANES];
             let mut xv = [0.0f64; LANES];
             for l in 0..LANES {
                 if t < lens[l] {
@@ -183,16 +206,19 @@ fn spmv_body(
     }
 }
 
-multiversioned! {
-    /// CSR rows `row0 .. row0 + out.len()` into `out`, bit-identical to the
-    /// scalar per-row fold (ragged lanes padded with exact no-op fmas).
-    spmv => spmv_body(
-        row_ptr: &[usize],
-        col_idx: &[usize],
-        values: &[f64],
-        x: &[f64],
-        out: &mut [f64],
-        row0: usize,
+/// CSR rows `row0 .. row0 + out.len()` into `out`, bit-identical to the
+/// scalar per-row fold (ragged lanes padded with exact no-op fmas).
+pub(crate) fn spmv(
+    row_ptr: &[usize],
+    col_idx: &[usize],
+    values: &[f64],
+    x: &[f64],
+    out: &mut [f64],
+    row0: usize,
+) {
+    dispatch(
+        #[inline(always)]
+        || spmv_body(row_ptr, col_idx, values, x, out, row0),
     )
 }
 
@@ -241,10 +267,13 @@ fn matmul_block_body(a_rows: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f
     }
 }
 
-multiversioned! {
-    /// One row-block of `C += A·B` (C rows in `out`, zero-initialised by the
-    /// caller), bit-identical to the scalar ikj kernel.
-    matmul_block => matmul_block_body(a_rows: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64])
+/// One row-block of `C += A·B` (C rows in `out`, zero-initialised by the
+/// caller), bit-identical to the scalar ikj kernel.
+pub(crate) fn matmul_block(a_rows: &[f64], k: usize, b: &[f64], n: usize, out: &mut [f64]) {
+    dispatch(
+        #[inline(always)]
+        || matmul_block_body(a_rows, k, b, n, out),
+    )
 }
 
 #[cfg(test)]

@@ -15,7 +15,7 @@
 //! makes the product parallel above the shared work threshold
 //! (`matrix::PAR_THRESHOLD`, the same rayon pattern as `Matrix::matvec`).
 
-use crate::matrix::{par_map_rows, Matrix, PAR_THRESHOLD};
+use crate::matrix::{par_map_rows, par_map_rows_baseline, Matrix, PAR_THRESHOLD};
 use crate::operator::LinearOperator;
 use crate::scalar::Real;
 use crate::simd;
@@ -166,24 +166,37 @@ impl<T: Real> SparseMatrix<T> {
     /// above the shared work threshold.
     ///
     /// For `T = f64` this runs the row-group SIMD kernel (see
-    /// [`crate::simd`]); the result is bit-identical to
-    /// [`SparseMatrix::matvec_scalar`] — and therefore still bit-identical
-    /// to the dense oracle — for every row shape, including empty and
-    /// single-entry rows (padded lanes are exact no-op fmas).
+    /// [`crate::simd`]); every other precision runs the per-row fold under
+    /// the crate's `avx2,fma` dispatch.  Either way the result is
+    /// bit-identical to [`SparseMatrix::matvec_scalar`] — and therefore
+    /// still bit-identical to the dense oracle — for every row shape,
+    /// including empty and single-entry rows (padded lanes are exact no-op
+    /// fmas).
     pub fn matvec(&self, x: &Vector<T>) -> Vector<T> {
         assert_eq!(self.cols, x.len(), "sparse matvec: dimension mismatch");
         if simd::is_f64::<T>() {
             return self.matvec_f64_simd(x);
         }
-        self.matvec_scalar(x)
+        let xs = x.as_slice();
+        par_map_rows(
+            self.nnz(),
+            self.rows,
+            #[inline(always)]
+            |i| {
+                let (cols, vals) = self.row(i);
+                cols.iter()
+                    .zip(vals)
+                    .fold(T::zero(), |acc, (&c, &v)| v.mul_add(xs[c], acc))
+            },
+        )
     }
 
-    /// Scalar SpMV kernel — the pre-SIMD loop kept verbatim as the
-    /// equivalence oracle (and the only path for non-`f64` precisions).
+    /// Scalar SpMV kernel — the pre-SIMD loop kept verbatim, compiled at the
+    /// baseline only, as the equivalence oracle.
     pub fn matvec_scalar(&self, x: &Vector<T>) -> Vector<T> {
         assert_eq!(self.cols, x.len(), "sparse matvec: dimension mismatch");
         let xs = x.as_slice();
-        par_map_rows(self.nnz(), self.rows, |i| {
+        par_map_rows_baseline(self.nnz(), self.rows, |i| {
             let (cols, vals) = self.row(i);
             cols.iter()
                 .zip(vals)

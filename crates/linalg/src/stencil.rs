@@ -84,24 +84,29 @@ impl<T: Real> StencilOperator<T> {
         let xs = x.as_slice();
         let ny = self.ny;
         let (center, off_x, off_y) = (self.center, self.off_x, self.off_y);
-        par_map_rows(self.stencil_nnz(), n, |k| {
-            let iy = k % ny;
-            let mut acc = T::zero();
-            if k >= ny {
-                acc = off_x.mul_add(xs[k - ny], acc);
-            }
-            if iy > 0 {
-                acc = off_y.mul_add(xs[k - 1], acc);
-            }
-            acc = center.mul_add(xs[k], acc);
-            if iy + 1 < ny {
-                acc = off_y.mul_add(xs[k + 1], acc);
-            }
-            if k + ny < n {
-                acc = off_x.mul_add(xs[k + ny], acc);
-            }
-            acc
-        })
+        par_map_rows(
+            self.stencil_nnz(),
+            n,
+            #[inline(always)]
+            |k| {
+                let iy = k % ny;
+                let mut acc = T::zero();
+                if k >= ny {
+                    acc = off_x.mul_add(xs[k - ny], acc);
+                }
+                if iy > 0 {
+                    acc = off_y.mul_add(xs[k - 1], acc);
+                }
+                acc = center.mul_add(xs[k], acc);
+                if iy + 1 < ny {
+                    acc = off_y.mul_add(xs[k + 1], acc);
+                }
+                if k + ny < n {
+                    acc = off_x.mul_add(xs[k + ny], acc);
+                }
+                acc
+            },
+        )
     }
 
     /// Materialise the stencil as a CSR matrix (useful for comparisons and
@@ -282,25 +287,30 @@ impl<T: Real> StencilNd<T> {
         assert_eq!(x.len(), n, "stencil matvec: dimension mismatch");
         let xs = x.as_slice();
         let d = self.dims.len();
-        par_map_rows(self.stencil_nnz(), n, |k| {
-            let mut acc = T::zero();
-            // Minus-neighbours: strides decrease with the axis index, so
-            // iterating axes in order visits columns k−s_0 < … < k−s_{d−1}.
-            for a in 0..d {
-                let c = (k / self.strides[a]) % self.dims[a];
-                if c > 0 {
-                    acc = self.offs[a].mul_add(xs[k - self.strides[a]], acc);
+        par_map_rows(
+            self.stencil_nnz(),
+            n,
+            #[inline(always)]
+            |k| {
+                let mut acc = T::zero();
+                // Minus-neighbours: strides decrease with the axis index, so
+                // iterating axes in order visits columns k−s_0 < … < k−s_{d−1}.
+                for a in 0..d {
+                    let c = (k / self.strides[a]) % self.dims[a];
+                    if c > 0 {
+                        acc = self.offs[a].mul_add(xs[k - self.strides[a]], acc);
+                    }
                 }
-            }
-            acc = self.center.mul_add(xs[k], acc);
-            for a in (0..d).rev() {
-                let c = (k / self.strides[a]) % self.dims[a];
-                if c + 1 < self.dims[a] {
-                    acc = self.offs[a].mul_add(xs[k + self.strides[a]], acc);
+                acc = self.center.mul_add(xs[k], acc);
+                for a in (0..d).rev() {
+                    let c = (k / self.strides[a]) % self.dims[a];
+                    if c + 1 < self.dims[a] {
+                        acc = self.offs[a].mul_add(xs[k + self.strides[a]], acc);
+                    }
                 }
-            }
-            acc
-        })
+                acc
+            },
+        )
     }
 
     /// Materialise as CSR (entries in the matvec's column order).

@@ -67,16 +67,21 @@ impl<T: Real> TridiagonalMatrix<T> {
         let n = self.order();
         assert_eq!(x.len(), n, "tridiagonal matvec: dimension mismatch");
         let xs = x.as_slice();
-        par_map_rows(3 * n, n, |i| {
-            let mut s = self.diag[i] * xs[i];
-            if i > 0 {
-                s = self.lower[i - 1].mul_add(xs[i - 1], s);
-            }
-            if i + 1 < n {
-                s = self.upper[i].mul_add(xs[i + 1], s);
-            }
-            s
-        })
+        par_map_rows(
+            3 * n,
+            n,
+            #[inline(always)]
+            |i| {
+                let mut s = self.diag[i] * xs[i];
+                if i > 0 {
+                    s = self.lower[i - 1].mul_add(xs[i - 1], s);
+                }
+                if i + 1 < n {
+                    s = self.upper[i].mul_add(xs[i + 1], s);
+                }
+                s
+            },
+        )
     }
 
     /// Transposed matrix-vector product `Tᵀ x` in O(N) (the transpose of a
@@ -89,16 +94,21 @@ impl<T: Real> TridiagonalMatrix<T> {
             "tridiagonal matvec_transposed: dimension mismatch"
         );
         let xs = x.as_slice();
-        par_map_rows(3 * n, n, |i| {
-            let mut s = self.diag[i] * xs[i];
-            if i > 0 {
-                s = self.upper[i - 1].mul_add(xs[i - 1], s);
-            }
-            if i + 1 < n {
-                s = self.lower[i].mul_add(xs[i + 1], s);
-            }
-            s
-        })
+        par_map_rows(
+            3 * n,
+            n,
+            #[inline(always)]
+            |i| {
+                let mut s = self.diag[i] * xs[i];
+                if i > 0 {
+                    s = self.upper[i - 1].mul_add(xs[i - 1], s);
+                }
+                if i + 1 < n {
+                    s = self.lower[i].mul_add(xs[i + 1], s);
+                }
+                s
+            },
+        )
     }
 
     /// Number of stored diagonal entries (`3N − 2` for N ≥ 1).

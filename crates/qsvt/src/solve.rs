@@ -189,9 +189,9 @@ impl QsvtInverter {
     ///   `Disabled` is the escape hatch that never touches the disk.
     ///
     /// `a` must be square with a power-of-two dimension `2^n` (the data
-    /// register), `epsilon_l` must lie in (0, 1), and in circuit mode an
-    /// `ExecMode::Sharded` shard count must be a power of two no larger than
-    /// the QSVT register's amplitude count; anything else is
+    /// register) and finite entries, `epsilon_l` must lie in (0, 1), and in
+    /// circuit mode an `ExecMode::Sharded` shard count must be a power of two
+    /// no larger than the QSVT register's amplitude count; anything else is
     /// [`QsvtError::InvalidInput`].
     pub fn with_config(
         a: &Matrix<f64>,
@@ -208,6 +208,9 @@ impl QsvtInverter {
         }
         if !(epsilon_l > 0.0 && epsilon_l < 1.0) {
             return Err(QsvtError::InvalidInput("epsilon_l must be in (0, 1)"));
+        }
+        if !a.as_slice().iter().all(|v| v.is_finite()) {
+            return Err(QsvtError::InvalidInput("matrix entries must be finite"));
         }
         let svd = Svd::new(a);
         let sigma_min = svd.sigma_min();

@@ -81,6 +81,31 @@ fn unsupported_matrix_or_accuracy_is_rejected_at_construction() {
 }
 
 #[test]
+fn non_finite_matrix_entries_are_rejected_at_construction() {
+    let (a, _) = system(4, 408);
+    for bad in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+        let mut m = a.clone();
+        m[(1, 2)] = bad;
+        for mode in MODES {
+            assert!(
+                matches!(
+                    HybridRefiner::new(&m, options(mode, 0.05)),
+                    Err(QlsError::Qsvt(QsvtError::InvalidInput(_)))
+                ),
+                "{mode:?}: HybridRefiner::new with a {bad} entry"
+            );
+            assert!(
+                matches!(
+                    QsvtInverter::new(&m, 0.05, mode),
+                    Err(QsvtError::InvalidInput(_))
+                ),
+                "{mode:?}: QsvtInverter::new with a {bad} entry"
+            );
+        }
+    }
+}
+
+#[test]
 fn zero_shots_are_rejected_at_construction() {
     let (a, _) = system(4, 405);
     for mode in MODES {
