@@ -5,9 +5,9 @@
 //! written the way a production dense-LA library would write them: row-major
 //! contiguous storage, cache-friendly loop ordering for the matrix product,
 //! and rayon parallelism over rows once the work is large enough to amortise
-//! the fork/join overhead.  The vendored rayon adapters fan out over real
-//! `std::thread::scope` workers (see `vendor/rayon`), so `matmul` and `matvec`
-//! genuinely use the machine's cores above [`PAR_THRESHOLD`].
+//! the fork/join overhead.  The vendored rayon adapters fan out over a
+//! persistent pool of worker threads (see `vendor/rayon`), so `matmul` and
+//! `matvec` genuinely use the machine's cores above [`PAR_THRESHOLD`].
 
 use crate::scalar::Real;
 use crate::simd;
@@ -18,11 +18,15 @@ use std::ops::{Add, Index, IndexMut, Mul, Neg, Sub};
 /// Minimum number of scalar multiply-adds before a kernel fans out across
 /// threads.
 ///
-/// Below this threshold the sequential loop is faster than spawning scoped
-/// threads; the value is deliberately conservative (≈ a few microseconds of
-/// work, comfortably above the per-call spawn cost of the vendored rayon's
-/// thread fan-out).
-pub(crate) const PAR_THRESHOLD: usize = 64 * 64 * 64;
+/// Derived from measurement on a 2-vCPU x86-64 host (release build, the
+/// vendored rayon's persistent pool): a warm empty 2-way fan-out costs
+/// 0.3–1.2 µs, and 4–7 µs when the worker has parked.  With this threshold
+/// forced to 1, CSR SpMVs of shifted graph Laplacians ran on 2 threads at
+/// 0.8–1.6x of 1 thread below 10⁴ nonzeros (f64; the split is lost in
+/// noise), 1.1–2.1x at 18,392 nonzeros and 1.65–2.3x from 36,838 up (f32 and
+/// f64).  So the fan-out starts at 2¹⁵, where even a parked worker's wake is
+/// under a tenth of the work it halves.
+pub(crate) const PAR_THRESHOLD: usize = 1 << 15;
 
 /// Shared row-partitioned parallel map used by every operator matvec in the
 /// crate (dense, CSR, tridiagonal, stencil): computes `f(i)` for each output

@@ -254,14 +254,22 @@ impl<T: Real> SparseMatrix<T> {
         d
     }
 
-    /// Exact symmetry check: the matrix equals its transpose entry for entry.
+    /// Exact symmetry check: the matrix equals its transpose entry for entry
+    /// (`*self == self.transpose()`, without building the transpose).
     ///
-    /// O(nnz log nnz) (one transpose rebuild); both sides are in canonical
-    /// CSR form (sorted columns, no duplicates), so structural equality is
-    /// exact symmetry.  Used by the inner-solver selection to decide between
-    /// CG and BiCGSTAB.
+    /// Every stored `(i, c, v)` must find `(c, i)` stored in row `c` with a
+    /// value `== v`, so a NaN is never symmetric.  That maps the stored
+    /// entries one-to-one onto themselves, so no entry of the transpose is
+    /// missing either.  A stored zero (left by [`SparseMatrix::scale`] or
+    /// [`SparseMatrix::convert`]) is never symmetric: the transpose, rebuilt
+    /// from triplets, drops it.  O(nnz log(nnz per row)), no allocation.
+    /// Used by the inner-solver selection to decide between CG and BiCGSTAB.
     pub fn is_symmetric(&self) -> bool {
-        self.rows == self.cols && *self == self.transpose()
+        self.rows == self.cols
+            && self.iter_entries().all(|(i, c, v)| {
+                let (cols, vals) = self.row(c);
+                v != T::zero() && cols.binary_search(&i).is_ok_and(|k| vals[k] == v)
+            })
     }
 
     /// The explicit transpose, still in CSR.

@@ -147,6 +147,68 @@ proptest! {
         );
         prop_assert_eq!(LinearOperator::nnz(&sparse), sparse.nnz());
     }
+
+    #[test]
+    fn csr_symmetry_check_matches_the_transpose_comparison(
+        n in 1usize..20,
+        extra_cols in 1usize..4,
+        density in 5u64..95,
+        seed in 0u64..10_000,
+        kind in 0u8..6,
+    ) {
+        // A symmetric pattern and values, then one of six edits.
+        let symmetric = Matrix::from_fn(n, n, |i, j| {
+            let (a, b) = (i.min(j), i.max(j));
+            if (hash_val(a, b, seed.wrapping_add(1)).abs() * 100.0) as u64 <= density {
+                hash_val(a, b, seed)
+            } else {
+                0.0
+            }
+        });
+        let mut triplets: Vec<(usize, usize, f64)> =
+            SparseMatrix::from_dense(&symmetric).iter_entries().collect();
+        let pick = (seed as usize) % triplets.len().max(1);
+        let mut cols = n;
+        let mut zeroed = false;
+        match kind {
+            // Unchanged: symmetric.
+            0 => {}
+            // One value nudged by one ulp.
+            1 => {
+                if let Some(t) = triplets.get_mut(pick) {
+                    t.2 = f64::from_bits(t.2.to_bits() + 1);
+                }
+            }
+            // One entry dropped: the mirror (if any) loses its partner.
+            2 => {
+                if !triplets.is_empty() {
+                    triplets.remove(pick);
+                }
+            }
+            // A NaN stored at an entry and at its mirror.
+            3 => {
+                if let Some(&(i, c, _)) = triplets.get(pick) {
+                    for t in &mut triplets {
+                        if (t.0, t.1) == (i, c) || (t.0, t.1) == (c, i) {
+                            t.2 = f64::NAN;
+                        }
+                    }
+                }
+            }
+            // Rectangular.
+            4 => cols = n + extra_cols,
+            // Every stored value scaled to an explicit zero.
+            _ => zeroed = true,
+        }
+        let mut sparse = SparseMatrix::from_triplets(n, cols, &triplets);
+        if zeroed {
+            sparse.scale(0.0);
+        }
+        prop_assert_eq!(sparse.is_symmetric(), sparse == sparse.transpose());
+        if kind == 0 {
+            prop_assert!(sparse.is_symmetric());
+        }
+    }
 }
 
 #[test]

@@ -28,4 +28,4 @@ pub use phases::{
     QspPhases,
 };
 pub use qsp::{qsp_polynomial, qsp_real_polynomial, qsp_unitary};
-pub use solve::{QsvtError, QsvtInverter, QsvtMode, QsvtResources};
+pub use solve::{QsvtError, QsvtInverter, QsvtMode, QsvtResources, MAX_POLY_DEGREE};

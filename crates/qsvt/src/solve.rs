@@ -24,7 +24,7 @@ use num_complex::Complex64;
 use qls_cache::CachePolicy;
 use qls_encoding::DilationBlockEncoding;
 use qls_linalg::{Matrix, Svd, Vector};
-use qls_poly::InversePolynomial;
+use qls_poly::{degree_cap_d, InversePolynomial};
 use qls_sim::fault::{lock_injector, FaultError, SharedFaultInjector};
 use qls_sim::{
     estimate_resources, CircuitStats, ExecMode, OptLevel, QuantumExecutor, ResourceEstimate,
@@ -57,6 +57,15 @@ pub struct QsvtResources {
     /// Gate-level estimate of the full QSVT circuit (only in circuit mode).
     pub circuit_estimate: Option<ResourceEstimate>,
 }
+
+/// Largest inverse-polynomial degree `2D + 1` a [`QsvtInverter`] builds.
+///
+/// `D = ⌈√(b log(4b/ε'))⌉` with `b = ⌈κ² log(κ/ε')⌉` grows faster than κ,
+/// and building the polynomial allocates `O(D)` memory with nothing to stop
+/// it: a rank-deficient 4×4 matrix asks for hundreds of GB.  The
+/// widest polynomial any test or benchmark builds has degree 10,167 (κ = 300
+/// at ε_l = 1/1200); this limit sits two orders of magnitude above that.
+pub const MAX_POLY_DEGREE: u64 = 1 << 20;
 
 /// Errors produced while preparing or running the QSVT inversion.
 #[derive(Debug, Clone)]
@@ -189,7 +198,9 @@ impl QsvtInverter {
     ///   `Disabled` is the escape hatch that never touches the disk.
     ///
     /// `a` must be square with a power-of-two dimension `2^n` (the data
-    /// register) and finite entries, `epsilon_l` must lie in (0, 1), and in
+    /// register) and finite entries, `epsilon_l` must lie in (0, 1), the
+    /// polynomial's closed-form degree `2D(ε', κ) + 1` must not exceed
+    /// [`MAX_POLY_DEGREE`] (checked before anything is allocated for it), and in
     /// circuit mode an `ExecMode::Sharded` shard count must be a power of two
     /// no larger than the QSVT register's amplitude count; anything else is
     /// [`QsvtError::InvalidInput`].
@@ -219,6 +230,9 @@ impl QsvtInverter {
         }
         let alpha = svd.norm2();
         let kappa = svd.cond();
+        if !kappa.is_finite() {
+            return Err(QsvtError::InvalidInput("condition number must be finite"));
+        }
         // Polynomial approximation accuracy ε' = ε_l.  The paper's worst-case
         // analysis asks for ε' = O(ε_l/κ) to certify a relative solution error
         // of ε_l (Section III-A); on non-adversarial right-hand sides the
@@ -227,6 +241,12 @@ impl QsvtInverter {
         // ε_l and ε_l·κ) without over-delivering accuracy.  The worst case is
         // still covered by Theorem III.1's ε_l·κ contraction factor.
         let eps_prime = epsilon_l.clamp(1e-14, 0.49);
+        if 2 * degree_cap_d(kappa, eps_prime) + 1 > MAX_POLY_DEGREE {
+            return Err(QsvtError::InvalidInput(
+                "inverse polynomial degree exceeds MAX_POLY_DEGREE: condition number too large \
+                 for epsilon_l",
+            ));
+        }
         let polynomial = InversePolynomial::new(kappa, eps_prime);
 
         let circuit = if mode == QsvtMode::CircuitReal {

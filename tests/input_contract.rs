@@ -106,6 +106,53 @@ fn non_finite_matrix_entries_are_rejected_at_construction() {
 }
 
 #[test]
+fn polynomials_too_wide_to_build_are_rejected_before_allocation() {
+    // Rank 3: the last row is the sum of the first two, so σ_min is rounding
+    // noise; without the degree check the polynomial's construction asks
+    // for hundreds of GB and the process aborts.
+    let rows = [
+        [2.0, 1.0, 0.5, 3.0],
+        [1.0, -1.0, 2.0, 0.25],
+        [0.5, 4.0, 1.0, -2.0],
+    ];
+    let rank_deficient = Matrix::from_fn(4, 4, |i, j| match i {
+        3 => rows[0][j] + rows[1][j],
+        _ => rows[i][j],
+    });
+    // κ = 10⁸ at ε_l = 1e-2: degree ≈ 6·10⁹, 32 GB before the check existed.
+    let mut rng = experiment_rng(409);
+    let ill_conditioned = random_matrix_with_cond(
+        4,
+        1e8,
+        SingularValueDistribution::Geometric,
+        MatrixEnsemble::General,
+        &mut rng,
+    );
+    for (name, a, epsilon_l) in [
+        ("rank-deficient", &rank_deficient, 0.05),
+        ("kappa = 1e8", &ill_conditioned, 1e-2),
+    ] {
+        for mode in MODES {
+            let degree_error = |what: &str| what.contains("MAX_POLY_DEGREE");
+            assert!(
+                matches!(
+                    HybridRefiner::new(a, options(mode, epsilon_l)),
+                    Err(QlsError::Qsvt(QsvtError::InvalidInput(what))) if degree_error(what)
+                ),
+                "{mode:?}: HybridRefiner::new on a {name} matrix"
+            );
+            assert!(
+                matches!(
+                    QsvtInverter::new(a, epsilon_l, mode),
+                    Err(QsvtError::InvalidInput(what)) if degree_error(what)
+                ),
+                "{mode:?}: QsvtInverter::new on a {name} matrix"
+            );
+        }
+    }
+}
+
+#[test]
 fn zero_shots_are_rejected_at_construction() {
     let (a, _) = system(4, 405);
     for mode in MODES {
