@@ -15,7 +15,7 @@
 //! |---|---|---|---|
 //! | [`Matrix`] | dense LU | O(N³) + O(N²) mem | — (it *is* the oracle) |
 //! | [`TridiagonalMatrix`] | Thomas LU ([`ThomasFactorization`]) | O(N) | dense LU on pivot breakdown |
-//! | [`SparseMatrix`] | Jacobi-CG (SPD) / Jacobi-BiCGSTAB | O(nnz)/iter | dense LU for N ≤ [`DENSIFY_FALLBACK_MAX`] |
+//! | [`SparseMatrix`] | Jacobi-CG (SPD) / Jacobi-BiCGSTAB over sliced ELLPACK | O(nnz)/iter | dense LU for N ≤ [`DENSIFY_FALLBACK_MAX`] |
 //! | [`StencilOperator`] | Jacobi-CG / Jacobi-BiCGSTAB, matrix-free | O(N)/iter | dense LU for N ≤ [`DENSIFY_FALLBACK_MAX`] |
 //! | [`StencilNd`] | Jacobi-CG / Jacobi-BiCGSTAB, matrix-free | O(N)/iter | dense LU for N ≤ [`DENSIFY_FALLBACK_MAX`] |
 //!
@@ -33,7 +33,23 @@
 //! ε_l with ε_l·κ < 1 contracts the outer residual, so CG/BiCGSTAB stop at a
 //! few units of roundoff of the low format (or return their best iterate on
 //! stagnation, which refinement absorbs).  What they must never do is return
-//! garbage silently — breakdowns surface as [`LinalgError`]s.
+//! garbage silently — breakdowns surface as [`LinalgError`]s, and a NaN or
+//! infinite curvature or residual ends the iteration at once (CG's
+//! `!(p·Ap > 0)`; BiCGSTAB treats a zero or non-finite `ρ`, `r̂·v`, `t·t` or
+//! `ω` alike) instead of iterating to the cap.
+//!
+//! # The sparse Krylov path
+//!
+//! `SparseMatrix::factorize::<L>()` hands CG / BiCGSTAB the crate-private
+//! sliced-ELLPACK operator (see [`crate::sparse`]), built once in one
+//! O(nnz) pass from the working-precision CSR.  Both its products are
+//! bit-identical to those of the rounded `SparseMatrix<L>`, so the solvers
+//! (still generic over [`LinearOperator`]) return the same bits over either
+//! operator.  Inside each CG iteration one fused
+//! residual pass computes `‖r‖₂`, `z = D⁻¹ r` and `r·z`: the norm's scaled
+//! sum (shared with [`Vector::norm2`]) and the dot product are two
+//! interleaved fma chains, each in its own sequential order, so the pass is
+//! bit-identical to the three separate sweeps it replaces.
 
 use std::fmt;
 
@@ -42,10 +58,10 @@ use crate::matrix::Matrix;
 use crate::operator::LinearOperator;
 use crate::scalar::Real;
 use crate::simd;
-use crate::sparse::SparseMatrix;
+use crate::sparse::{SlicedEll, SparseMatrix};
 use crate::stencil::{StencilNd, StencilOperator};
 use crate::tridiag::TridiagonalMatrix;
-use crate::vector::Vector;
+use crate::vector::{Norm2Scale, Vector};
 
 /// Largest order for which CSR / stencil operators fall back to densify +
 /// dense LU instead of an iterative inner solver.
@@ -292,6 +308,34 @@ fn precondition<T: Real>(inv_diag: &Vector<T>, r: &Vector<T>, z: &mut Vector<T>)
     }
 }
 
+/// Jacobi-CG's residual pass: `‖r‖₂`, the Jacobi step `z = D⁻¹ r` and
+/// `r·z` in one sweep.  The norm's scaled sum and the dot product are two
+/// fma chains, interleaved, each in its own ascending order — the order of
+/// [`Vector::norm2`] and [`Vector::dot`] — so both results are bit-identical
+/// to the separate sweeps.
+#[inline(always)]
+fn residual_pass<T: Real>(inv_diag: &Vector<T>, r: &Vector<T>, z: &mut Vector<T>) -> (T, T) {
+    let scale = Norm2Scale::of(r.as_slice());
+    let (mut sum, mut rz) = (T::zero(), T::zero());
+    for ((zi, &ri), &di) in z
+        .as_mut_slice()
+        .iter_mut()
+        .zip(r.iter())
+        .zip(inv_diag.iter())
+    {
+        sum = scale.add(ri, sum);
+        *zi = ri * di;
+        rz = ri.mul_add(*zi, rz);
+    }
+    (scale.finish(sum), rz)
+}
+
+/// A Krylov scalar that ends the iteration: zero, NaN or infinite.
+#[inline(always)]
+fn breaks_down<T: Real>(v: T) -> bool {
+    v == T::zero() || !v.is_finite()
+}
+
 /// Jacobi-preconditioned conjugate gradients for SPD systems, matrix-free
 /// over any [`LinearOperator`] at the low precision.
 ///
@@ -374,7 +418,9 @@ impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
         for step in 0..self.max_iterations {
             let ap = mv(&p);
             let pap = p.dot(&ap);
-            if pap <= T::zero() {
+            // False for a NaN curvature too.
+            let positive = pap > T::zero();
+            if !positive {
                 if step == 0 {
                     // Not positive definite along the very first direction:
                     // CG is the wrong solver, report it rather than iterate.
@@ -385,16 +431,17 @@ impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
             let alpha = rz / pap;
             x.axpy(alpha, &p);
             r.axpy(-alpha, &ap);
-            let rnorm = r.norm2();
+            let (rnorm, rz_new) = residual_pass(&self.inv_diag, &r, &mut z);
             if rnorm <= tol {
                 return Ok(x);
+            }
+            if !rnorm.is_finite() {
+                break;
             }
             if rnorm < best_res {
                 best_res = rnorm;
                 best.as_mut_slice().copy_from_slice(x.as_slice());
             }
-            precondition(&self.inv_diag, &r, &mut z);
-            let rz_new = r.dot(&z);
             if rz_new == T::zero() {
                 break;
             }
@@ -501,7 +548,7 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
         let mut best_res = bnorm;
         for _ in 0..self.max_iterations {
             let rho_new = r_hat.dot(&r);
-            if rho_new == T::zero() || omega == T::zero() {
+            if breaks_down(rho_new) || breaks_down(omega) {
                 break;
             }
             let beta = (rho_new / rho) * (alpha / omega);
@@ -513,7 +560,7 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
             precondition(&self.inv_diag, &p, &mut p_hat);
             v = mv(&p_hat);
             let rhv = r_hat.dot(&v);
-            if rhv == T::zero() {
+            if breaks_down(rhv) {
                 break;
             }
             alpha = rho / rhv;
@@ -525,6 +572,9 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
             if snorm <= tol {
                 return Ok(x);
             }
+            if !snorm.is_finite() {
+                break;
+            }
             if snorm < best_res {
                 best_res = snorm;
                 best.as_mut_slice().copy_from_slice(x.as_slice());
@@ -532,7 +582,7 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
             precondition(&self.inv_diag, &s, &mut s_hat);
             let t = mv(&s_hat);
             let tt = t.dot(&t);
-            if tt == T::zero() {
+            if breaks_down(tt) {
                 break;
             }
             omega = t.dot(&s) / tt;
@@ -543,6 +593,9 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
             let rnorm = r.norm2();
             if rnorm <= tol {
                 return Ok(x);
+            }
+            if !rnorm.is_finite() {
+                break;
             }
             if rnorm < best_res {
                 best_res = rnorm;
@@ -609,32 +662,28 @@ impl<T: Real> FactorizableOperator<T> for SparseMatrix<T> {
             return self.factorize_dense_lu::<L>();
         }
         let symmetric = self.is_symmetric();
-        let low: SparseMatrix<L> = self.convert();
-        let diag = low.diagonal();
-        let tol = inner_tolerance::<L>();
-        if symmetric && diag.iter().all(|&d| d > L::zero()) {
-            Ok(Box::new(ConjugateGradientSolver::new(low, &diag, tol, n)?))
-        } else {
-            Ok(Box::new(BiCgStabSolver::new(low, &diag, tol, 2 * n)))
+        let diag: Vector<L> = self.diagonal().convert();
+        match SlicedEll::<L>::from_csr(self) {
+            Some(op) => krylov(op, &diag, symmetric),
+            None => krylov(self.convert::<L>(), &diag, symmetric),
         }
     }
 }
 
-/// Shared CG/BiCGSTAB selection for the matrix-free stencils: they are
-/// symmetric by construction, so CG applies whenever the diagonal-dominance
-/// bound `center ≥ Σ 2|off|` certifies positive definiteness.
-fn factorize_stencil<L: Real, Op: LinearOperator<L> + 'static>(
+/// The Krylov selection shared by the sparse and stencil operators: CG when
+/// the caller certifies symmetry (and, for a stencil, diagonal dominance)
+/// and the diagonal is positive, BiCGSTAB otherwise.
+fn krylov<L: Real, Op: LinearOperator<L> + 'static>(
     op: Op,
-    center: L,
-    off_sum: L,
+    diag: &Vector<L>,
+    cg_applies: bool,
 ) -> Result<Box<dyn InnerSolver<L>>, LinalgError> {
     let n = op.nrows();
-    let diag = Vector::from_vec(vec![center; n]);
     let tol = inner_tolerance::<L>();
-    if center > L::zero() && center >= off_sum {
-        Ok(Box::new(ConjugateGradientSolver::new(op, &diag, tol, n)?))
+    if cg_applies && diag.iter().all(|&d| d > L::zero()) {
+        Ok(Box::new(ConjugateGradientSolver::new(op, diag, tol, n)?))
     } else {
-        Ok(Box::new(BiCgStabSolver::new(op, &diag, tol, 2 * n)))
+        Ok(Box::new(BiCgStabSolver::new(op, diag, tol, 2 * n)))
     }
 }
 
@@ -648,7 +697,9 @@ impl<T: Real> FactorizableOperator<T> for StencilOperator<T> {
         let low: StencilOperator<L> = self.convert();
         let (center, off_x, off_y) = low.coefficients();
         let off_sum = (off_x.abs() + off_y.abs()) * L::from_f64(2.0);
-        factorize_stencil(low, center, off_sum)
+        let diag = Vector::from_vec(vec![center; low.order()]);
+        // Symmetric by construction; `center ≥ Σ 2|off|` certifies SPD.
+        krylov(low, &diag, center >= off_sum)
     }
 }
 
@@ -665,7 +716,8 @@ impl<T: Real> FactorizableOperator<T> for StencilNd<T> {
             .offsets()
             .iter()
             .fold(L::zero(), |acc, &o| acc + o.abs() + o.abs());
-        factorize_stencil(low, center, off_sum)
+        let diag = Vector::from_vec(vec![center; low.order()]);
+        krylov(low, &diag, center >= off_sum)
     }
 }
 
@@ -801,6 +853,37 @@ mod tests {
         assert_eq!(solver.kind(), InnerSolverKind::BiCgStab);
         let x = solver.solve(&b).unwrap();
         assert!((&neg.matvec(&x) - &b).norm2() / b.norm2() < 1e-12);
+    }
+
+    #[test]
+    fn non_finite_curvature_or_residual_is_a_breakdown() {
+        // With no iteration cap to speak of, a NaN that read as "keep going"
+        // would never return.
+        let a = poisson_2d::<f64>(10, 10, false).to_sparse();
+        let diag = a.diagonal();
+        let mut b: Vector<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
+        b[17] = f64::NAN;
+        let cg = ConjugateGradientSolver::new(a.clone(), &diag, 1e-12, usize::MAX).unwrap();
+        assert!(matches!(
+            cg.solve(&b),
+            Err(LinalgError::Singular { step: 0 })
+        ));
+        let bicg = BiCgStabSolver::new(a.clone(), &diag, 1e-12, usize::MAX);
+        assert!(bicg.solve(&b).is_ok());
+        assert!(bicg.solve_transposed(&b).is_ok());
+        // An infinite diagonal entry: the first residual update is NaN.  The
+        // solvers stop and return their best (finite) iterate.
+        let triplets: Vec<_> = a
+            .iter_entries()
+            .map(|(i, c, v)| (i, c, if i == 5 && c == 5 { f64::INFINITY } else { v }))
+            .collect();
+        let inf = SparseMatrix::from_triplets(100, 100, &triplets);
+        let ones = Vector::from_vec(vec![1.0f64; 100]);
+        let cg = ConjugateGradientSolver::new(inf.clone(), &ones, 1e-12, usize::MAX).unwrap();
+        let bicg = BiCgStabSolver::new(inf, &ones, 1e-12, usize::MAX);
+        for x in [cg.solve(&ones), bicg.solve(&ones)] {
+            assert!(x.unwrap().iter().all(|v| v.is_finite()));
+        }
     }
 
     #[test]

@@ -293,15 +293,18 @@ impl<T: Real> Matrix<T> {
     /// Transposed matrix-vector product `Aᵀ x`.
     pub fn matvec_transposed(&self, x: &Vector<T>) -> Vector<T> {
         assert_eq!(self.rows, x.len(), "matvec_transposed: dimension mismatch");
-        let mut out = Vector::zeros(self.cols);
-        for i in 0..self.rows {
-            let xi = x[i];
-            let row = self.row(i);
-            for j in 0..self.cols {
-                out[j] = row[j].mul_add(xi, out[j]);
-            }
-        }
-        out
+        let mut out = vec![T::zero(); self.cols];
+        simd::dispatch(
+            #[inline(always)]
+            || {
+                for (i, &xi) in x.iter().enumerate() {
+                    for (o, &a) in out.iter_mut().zip(self.row(i)) {
+                        *o = a.mul_add(xi, *o);
+                    }
+                }
+            },
+        );
+        Vector::from_vec(out)
     }
 
     /// Matrix product `A B` (ikj loop order, rayon over rows of `A` when

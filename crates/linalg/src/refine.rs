@@ -52,7 +52,8 @@ pub enum RefinementStatus {
     /// The scaled residual stopped improving (limiting accuracy reached).
     Stagnated,
     /// The residual grew — the low-precision solver is too inaccurate
-    /// (ε_l·κ ≥ 1 in the language of Theorem III.1).
+    /// (ε_l·κ ≥ 1 in the language of Theorem III.1) — or is not finite
+    /// (NaN or ∞ in the data or the iterate).
     Diverged,
 }
 
@@ -224,6 +225,10 @@ impl<H: Real, L: Real, Op: FactorizableOperator<H>> ClassicalRefiner<H, L, Op> {
             status = RefinementStatus::Converged;
             return Ok((x, RefinementHistory { steps, status }));
         }
+        if !omega0.is_finite() {
+            status = RefinementStatus::Diverged;
+            return Ok((x, RefinementHistory { steps, status }));
+        }
 
         for it in 1..=self.options.max_iterations {
             // Correction solve in low precision (reusing the factors).
@@ -245,7 +250,9 @@ impl<H: Real, L: Real, Op: FactorizableOperator<H>> ClassicalRefiner<H, L, Op> {
                 status = RefinementStatus::Converged;
                 break;
             }
-            if omega > prev_omega * 2.0 {
+            // A NaN or infinite ω (non-finite data or solution) fails every
+            // comparison below; it is divergence, not a reason to iterate.
+            if !omega.is_finite() || omega > prev_omega * 2.0 {
                 status = RefinementStatus::Diverged;
                 break;
             }
@@ -446,6 +453,37 @@ mod tests {
         // Non-contracting case returns None.
         assert_eq!(iteration_bound(1e-11, 0.2, 10.0), None);
         assert_eq!(iteration_bound(1e-11, 0.0, 10.0), None);
+    }
+
+    #[test]
+    fn non_finite_data_never_reads_as_converged() {
+        use crate::generate::{random_connected_graph, shifted_graph_laplacian};
+        use crate::sparse::SparseMatrix;
+        for n in [100usize, 2000] {
+            let mut rng = ChaCha8Rng::seed_from_u64(n as u64);
+            let edges = random_connected_graph(n, 3 * n, &mut rng);
+            let good = shifted_graph_laplacian::<f64>(n, &edges, 0.5);
+            let b = good.matvec(&Vector::ones(n));
+            for bad in [f64::NAN, f64::INFINITY] {
+                let triplets: Vec<_> = good
+                    .iter_entries()
+                    .map(|(i, c, v)| (i, c, if i == 0 && c == 0 { bad } else { v }))
+                    .collect();
+                let a = SparseMatrix::from_triplets(n, n, &triplets);
+                let outcome =
+                    ClassicalRefiner::<f64, f32, _>::new(&a, RefinementOptions::default())
+                        .and_then(|r| r.solve(&b));
+                // A typed error is fine too; a `Converged` NaN is not.
+                if let Ok((x, history)) = outcome {
+                    assert_eq!(
+                        history.status,
+                        RefinementStatus::Diverged,
+                        "n = {n}, a[0][0] = {bad}: x[0] = {}",
+                        x[0]
+                    );
+                }
+            }
+        }
     }
 
     #[test]

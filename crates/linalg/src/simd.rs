@@ -1,5 +1,6 @@
-//! Runtime `avx2,fma` dispatch for the crate's hot loops, and the `f64x4`
-//! kernels for dense matvec, CSR SpMV and the dense matrix product.
+//! Runtime `avx2,fma` dispatch for the crate's hot loops, the `f64x4`
+//! kernels for dense matvec, CSR SpMV and the dense matrix product, and the
+//! sliced-ELLPACK SpMV of the inner solvers.
 //!
 //! # Dispatch
 //!
@@ -54,6 +55,22 @@
 //! bit-identical to the scalar fold.  The `f64x4` kernels serve `T = f64`
 //! only; the public entry points test `TypeId` and send other precisions
 //! (`f32`, `Emulated`) to their dispatched `Real`-generic loops.
+//!
+//! # Sliced ELLPACK
+//!
+//! The inner solvers' operator (`sparse::SlicedEll`, layout in the
+//! [`crate::sparse`] docs) stores 8 rows per slice column-major, so one
+//! column step of a slice is 8 entries of 8 different rows.  Under
+//! `avx2,fma` the `f32` kernel loads the step's 8 `i32` columns and values,
+//! gathers the 8 `x` entries with one masked `vpgatherdd` and accumulates
+//! with one `vfmadd` (the `f64` kernel does the same in two 4-lane halves).
+//! The mask is `c as u32 < x.len()`, so padding (column −1) gathers +0 and
+//! no lane can read outside `x`.  Each lane is still one output row summed
+//! in ascending column order, and the padding fmas `fma(−0, +0, acc)` are
+//! exact no-ops, so the result is bit-identical to the CSR row fold.  Other
+//! precisions and CPUs run [`sell_spmv_portable`], the same lane-by-lane
+//! operation sequence in safe code under [`dispatch`]; the equivalence suite
+//! calls both kernels directly.
 
 use crate::scalar::Real;
 use core::any::TypeId;
@@ -89,27 +106,41 @@ pub(crate) fn dispatch<R>(body: impl FnOnce() -> R) -> R {
     body()
 }
 
-/// True when the scalar type `T` is exactly `f64` (the only precision with
-/// a SIMD path; everything else uses the scalar oracles).
+/// True when the scalar type `T` is exactly `f64` (the only precision of
+/// the `f64x4` kernels; everything else uses the `Real`-generic loops).
 #[inline(always)]
 pub(crate) fn is_f64<T: Real>() -> bool {
     TypeId::of::<T>() == TypeId::of::<f64>()
 }
 
-/// Reinterpret a `&[T]` whose `T` is statically known to be `f64`.
+/// `s` as a `&[U]` when `T` is exactly `U`.
+#[inline(always)]
+fn cast<T: Real, U: Real>(s: &[T]) -> Option<&[U]> {
+    (TypeId::of::<T>() == TypeId::of::<U>()).then(|| {
+        // SAFETY: `T` and `U` are the same type; same layout, same len.
+        unsafe { core::slice::from_raw_parts(s.as_ptr().cast::<U>(), s.len()) }
+    })
+}
+
+/// Mutable variant of [`cast`].
+#[inline(always)]
+fn cast_mut<T: Real, U: Real>(s: &mut [T]) -> Option<&mut [U]> {
+    (TypeId::of::<T>() == TypeId::of::<U>()).then(|| {
+        // SAFETY: `T` and `U` are the same type; same layout, same len.
+        unsafe { core::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<U>(), s.len()) }
+    })
+}
+
+/// Reinterpret a `&[T]` whose `T` the caller checked to be `f64`.
 #[inline(always)]
 pub(crate) fn as_f64<T: Real>(s: &[T]) -> &[f64] {
-    debug_assert!(is_f64::<T>());
-    // SAFETY: caller checked `T == f64` via `is_f64`; same layout, same len.
-    unsafe { core::slice::from_raw_parts(s.as_ptr().cast::<f64>(), s.len()) }
+    cast(s).expect("`T` is `f64`")
 }
 
 /// Mutable variant of [`as_f64`].
 #[inline(always)]
 pub(crate) fn as_f64_mut<T: Real>(s: &mut [T]) -> &mut [f64] {
-    debug_assert!(is_f64::<T>());
-    // SAFETY: caller checked `T == f64` via `is_f64`; same layout, same len.
-    unsafe { core::slice::from_raw_parts_mut(s.as_mut_ptr().cast::<f64>(), s.len()) }
+    cast_mut(s).expect("`T` is `f64`")
 }
 
 // ---------------------------------------------------------------------------
@@ -220,6 +251,260 @@ pub(crate) fn spmv(
         #[inline(always)]
         || spmv_body(row_ptr, col_idx, values, x, out, row0),
     )
+}
+
+// ---------------------------------------------------------------------------
+// Sliced-ELLPACK SpMV over the layout of `sparse::SlicedEll`: slice `s` holds
+// `SLICE` rows column-major, entry `t` of lane `l` at `slice_ptr[s] +
+// SLICE·t + l`, and lane `l` accumulates output row `rows[SLICE·s + l]` in
+// ascending column order.  Padded entries hold column −1 and value −0: they
+// gather +0, and `fma(−0, +0, acc) = acc` exactly.
+// ---------------------------------------------------------------------------
+
+/// Rows per slice of the sliced-ELLPACK layout: one 256-bit `f32` vector.
+pub(crate) const SLICE: usize = 8;
+
+/// The index arrays of a run of consecutive slices of a sliced-ELLPACK
+/// matrix; the values are passed alongside, at their own precision.
+#[derive(Clone, Copy)]
+pub(crate) struct SellSlices<'a> {
+    /// Slice `s` of the run spans `slice_ptr[s]..slice_ptr[s + 1]` of the
+    /// column and value arrays (`SLICE` entries per column step).
+    pub slice_ptr: &'a [usize],
+    /// Column of each entry, −1 for padding.
+    pub col_idx: &'a [i32],
+    /// Output row of each lane, slice after slice; the last slice may have
+    /// fewer than `SLICE` rows (its other lanes are all padding).
+    pub rows: &'a [u32],
+}
+
+/// A sliced-ELLPACK kernel `(slices, values, x, out, row0)`: writes
+/// `out[rows[k] − row0]` for every lane `k` of the run.
+pub(crate) type SellKernel<T> = fn(SellSlices<'_>, &[T], &[T], &mut [T], usize);
+
+/// Write one slice's lane sums to their output rows.
+#[inline(always)]
+fn scatter<T: Copy>(rows: &[u32], lanes: &[T; SLICE], out: &mut [T], row0: usize) {
+    for (&r, &acc) in rows.iter().zip(lanes) {
+        out[r as usize - row0] = acc;
+    }
+}
+
+#[inline(always)]
+fn sell_portable_body<T: Real>(
+    m: SellSlices<'_>,
+    values: &[T],
+    x: &[T],
+    out: &mut [T],
+    row0: usize,
+) {
+    for (s, rows) in m.rows.chunks(SLICE).enumerate() {
+        let span = m.slice_ptr[s]..m.slice_ptr[s + 1];
+        let mut acc = [T::zero(); SLICE];
+        let steps = m.col_idx[span.clone()]
+            .chunks_exact(SLICE)
+            .zip(values[span].chunks_exact(SLICE));
+        for (cols, vals) in steps {
+            for ((a, &c), &v) in acc.iter_mut().zip(cols).zip(vals) {
+                let xv = if c >= 0 { x[c as usize] } else { T::zero() };
+                *a = v.mul_add(xv, *a);
+            }
+        }
+        scatter(rows, &acc, out, row0);
+    }
+}
+
+/// The portable sliced-ELLPACK loop, at every precision: lane by lane, in
+/// the gather kernel's operation order.
+pub(crate) fn sell_spmv_portable<T: Real>(
+    m: SellSlices<'_>,
+    values: &[T],
+    x: &[T],
+    out: &mut [T],
+    row0: usize,
+) {
+    dispatch(
+        #[inline(always)]
+        || sell_portable_body(m, values, x, out, row0),
+    )
+}
+
+/// True when [`sell_spmv_gather`] has a kernel for `T` on this CPU (`f32`
+/// and `f64` on x86-64 with AVX2 and FMA).
+pub(crate) fn sell_gather_available<T: Real>() -> bool {
+    cfg!(target_arch = "x86_64")
+        && (is_f64::<T>() || TypeId::of::<T>() == TypeId::of::<f32>())
+        && wide::runtime::avx2_fma_available()
+}
+
+/// The AVX2 sliced-ELLPACK kernel: per column step one masked 8-lane gather
+/// of `x` and one fma per 8 lanes.  Panics where [`sell_gather_available`]
+/// is false.
+pub(crate) fn sell_spmv_gather<T: Real>(
+    m: SellSlices<'_>,
+    values: &[T],
+    x: &[T],
+    out: &mut [T],
+    row0: usize,
+) {
+    #[cfg(target_arch = "x86_64")]
+    if wide::runtime::avx2_fma_available() {
+        if let (Some(v), Some(x), Some(out)) = (cast(values), cast(x), cast_mut(out)) {
+            // SAFETY: avx2 and fma were just detected on this CPU.
+            return unsafe { gather::sell_f32(m, v, x, out, row0) };
+        }
+        if let (Some(v), Some(x), Some(out)) = (cast(values), cast(x), cast_mut(out)) {
+            // SAFETY: avx2 and fma were just detected on this CPU.
+            return unsafe { gather::sell_f64(m, v, x, out, row0) };
+        }
+    }
+    panic!(
+        "no AVX2 sliced-ELLPACK kernel for {} on this CPU",
+        T::format_name()
+    );
+}
+
+/// The sliced-ELLPACK SpMV: the gather kernel where it exists, the portable
+/// loop otherwise.  Both are bit-identical to the CSR row fold.
+pub(crate) fn sell_spmv<T: Real>(
+    m: SellSlices<'_>,
+    values: &[T],
+    x: &[T],
+    out: &mut [T],
+    row0: usize,
+) {
+    if sell_gather_available::<T>() {
+        sell_spmv_gather(m, values, x, out, row0)
+    } else {
+        sell_spmv_portable(m, values, x, out, row0)
+    }
+}
+
+#[cfg(target_arch = "x86_64")]
+mod gather {
+    use super::{scatter, SellSlices, SLICE};
+    use core::arch::x86_64::*;
+
+    /// Gather mask: a lane is live when its column `c` satisfies
+    /// `c as u32 < min(len, 2³¹)`, compared as signed integers after
+    /// flipping the sign bits.  Padding (−1) is never live, and neither is
+    /// any column outside `x`, so no lane ever reads out of bounds,
+    /// whatever the layout holds.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn live(idx: __m256i, len: usize) -> __m256i {
+        let flip = _mm256_set1_epi32(i32::MIN);
+        let bound = _mm256_set1_epi32(((len.min(1 << 31) as u32) ^ (1 << 31)) as i32);
+        _mm256_cmpgt_epi32(bound, _mm256_xor_si256(idx, flip))
+    }
+
+    /// Sign-extend four 32-bit mask lanes to a 4-lane `f64` mask.
+    #[inline]
+    #[target_feature(enable = "avx2,fma")]
+    fn widen(half: __m128i) -> __m256d {
+        _mm256_castsi256_pd(_mm256_cvtepi32_epi64(half))
+    }
+
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn sell_f32(
+        m: SellSlices<'_>,
+        values: &[f32],
+        x: &[f32],
+        out: &mut [f32],
+        row0: usize,
+    ) {
+        for (s, rows) in m.rows.chunks(SLICE).enumerate() {
+            let span = m.slice_ptr[s]..m.slice_ptr[s + 1];
+            let mut acc = _mm256_setzero_ps();
+            let steps = m.col_idx[span.clone()]
+                .chunks_exact(SLICE)
+                .zip(values[span].chunks_exact(SLICE));
+            for (cols, vals) in steps {
+                // SAFETY: `cols` and `vals` each hold SLICE = 8 elements.
+                let (idx, v) = unsafe {
+                    (
+                        _mm256_loadu_si256(cols.as_ptr().cast()),
+                        _mm256_loadu_ps(vals.as_ptr()),
+                    )
+                };
+                let mask = _mm256_castsi256_ps(live(idx, x.len()));
+                // SAFETY: only live lanes are read, and a live lane's index
+                // lies in `0..x.len()`.
+                let xv = unsafe {
+                    _mm256_mask_i32gather_ps::<4>(_mm256_setzero_ps(), x.as_ptr(), idx, mask)
+                };
+                acc = _mm256_fmadd_ps(v, xv, acc);
+            }
+            let mut lanes = [0.0f32; SLICE];
+            // SAFETY: `lanes` holds 8 `f32`.
+            unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
+            scatter(rows, &lanes, out, row0);
+        }
+    }
+
+    /// The `f64` kernel: each slice's 8 lanes in two 4-lane halves.
+    #[target_feature(enable = "avx2,fma")]
+    pub(super) fn sell_f64(
+        m: SellSlices<'_>,
+        values: &[f64],
+        x: &[f64],
+        out: &mut [f64],
+        row0: usize,
+    ) {
+        for (s, rows) in m.rows.chunks(SLICE).enumerate() {
+            let span = m.slice_ptr[s]..m.slice_ptr[s + 1];
+            let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
+            let steps = m.col_idx[span.clone()]
+                .chunks_exact(SLICE)
+                .zip(values[span].chunks_exact(SLICE));
+            for (cols, vals) in steps {
+                // SAFETY: `cols` and `vals` each hold SLICE = 8 elements.
+                let (idx, v_lo, v_hi) = unsafe {
+                    (
+                        _mm256_loadu_si256(cols.as_ptr().cast()),
+                        _mm256_loadu_pd(vals.as_ptr()),
+                        _mm256_loadu_pd(vals[4..].as_ptr()),
+                    )
+                };
+                let mask = live(idx, x.len());
+                let (idx_lo, idx_hi) = (
+                    _mm256_castsi256_si128(idx),
+                    _mm256_extracti128_si256::<1>(idx),
+                );
+                let (mask_lo, mask_hi) = (
+                    widen(_mm256_castsi256_si128(mask)),
+                    widen(_mm256_extracti128_si256::<1>(mask)),
+                );
+                // SAFETY: only live lanes are read, and a live lane's index
+                // lies in `0..x.len()`.
+                let (x_lo, x_hi) = unsafe {
+                    (
+                        _mm256_mask_i32gather_pd::<8>(
+                            _mm256_setzero_pd(),
+                            x.as_ptr(),
+                            idx_lo,
+                            mask_lo,
+                        ),
+                        _mm256_mask_i32gather_pd::<8>(
+                            _mm256_setzero_pd(),
+                            x.as_ptr(),
+                            idx_hi,
+                            mask_hi,
+                        ),
+                    )
+                };
+                lo = _mm256_fmadd_pd(v_lo, x_lo, lo);
+                hi = _mm256_fmadd_pd(v_hi, x_hi, hi);
+            }
+            let mut lanes = [0.0f64; SLICE];
+            // SAFETY: `lanes` holds 8 `f64`, 4 per store.
+            unsafe {
+                _mm256_storeu_pd(lanes.as_mut_ptr(), lo);
+                _mm256_storeu_pd(lanes[4..].as_mut_ptr(), hi);
+            }
+            scatter(rows, &lanes, out, row0);
+        }
+    }
 }
 
 // ---------------------------------------------------------------------------

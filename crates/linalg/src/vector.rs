@@ -10,7 +10,8 @@
 //! `avx2,fma` dispatch, so at every precision their `mul_add`s are hardware
 //! fmas where the CPU has them.  Each keeps its sequential, ascending-index
 //! fold: the dispatched result is bit-identical to the same loop compiled at
-//! the baseline.
+//! the baseline.  `norm2`'s scaled sum lives in `Norm2Scale`, which the
+//! Jacobi-CG residual pass shares.
 
 use crate::scalar::Real;
 use crate::simd;
@@ -108,22 +109,21 @@ impl<T: Real> Vector<T> {
         )
     }
 
-    /// Euclidean (2-)norm.
+    /// Euclidean (2-)norm: NaN when any entry is NaN, +∞ when any other
+    /// entry is infinite.
     pub fn norm2(&self) -> T {
         simd::dispatch(
             #[inline(always)]
             || {
-                // Scale by the largest magnitude to avoid overflow for extreme
-                // inputs.
-                let maxabs = self.data.iter().fold(T::zero(), |acc, x| acc.max(x.abs()));
-                if maxabs == T::zero() {
-                    return T::zero();
+                let scale = Norm2Scale::of(&self.data);
+                if let Some(norm) = scale.decided() {
+                    return norm;
                 }
-                let sum = self.data.iter().fold(T::zero(), |acc, &x| {
-                    let s = x / maxabs;
-                    s.mul_add(s, acc)
-                });
-                maxabs * sum.sqrt()
+                let sum = self
+                    .data
+                    .iter()
+                    .fold(T::zero(), |acc, &x| scale.add(x, acc));
+                scale.finish(sum)
             },
         )
     }
@@ -191,6 +191,55 @@ impl<T: Real> Vector<T> {
     /// Iterate over the entries.
     pub fn iter(&self) -> std::slice::Iter<'_, T> {
         self.data.iter()
+    }
+}
+
+/// The overflow-safe 2-norm `max|x_i| · sqrt(Σ (x_i / max|x_i|)²)`, split
+/// so a sweep that computes more than the norm can fuse the scaled sum in
+/// (Jacobi-CG's residual pass does): [`Norm2Scale::of`] takes the scale,
+/// [`Norm2Scale::add`] is one term of the sequential sum, and
+/// [`Norm2Scale::finish`] applies the scale.  [`Vector::norm2`] is this
+/// helper and nothing else, so the two cannot drift apart.
+#[derive(Clone, Copy)]
+pub(crate) struct Norm2Scale<T> {
+    scale: T,
+    /// The norm, when the scale alone decides it (zero or non-finite).
+    decided: Option<T>,
+}
+
+impl<T: Real> Norm2Scale<T> {
+    #[inline(always)]
+    pub(crate) fn of(xs: &[T]) -> Self {
+        // `max` skips NaN, so only a zero or infinite scale can hide one;
+        // with a finite nonzero scale a NaN entry poisons the sum itself.
+        let scale = xs.iter().fold(T::zero(), |acc, x| acc.max(x.abs()));
+        let decided = (scale == T::zero() || !scale.is_finite()).then(|| {
+            if xs.iter().any(|x| x.to_f64().is_nan()) {
+                T::from_f64(f64::NAN)
+            } else {
+                scale
+            }
+        });
+        Norm2Scale { scale, decided }
+    }
+
+    /// The norm, when the scale alone decides it: 0, +∞ or NaN.
+    #[inline(always)]
+    pub(crate) fn decided(&self) -> Option<T> {
+        self.decided
+    }
+
+    /// `sum + (x / scale)²` with one fused multiply-add.
+    #[inline(always)]
+    pub(crate) fn add(&self, x: T, sum: T) -> T {
+        let s = x / self.scale;
+        s.mul_add(s, sum)
+    }
+
+    /// The norm from the scaled sum of every entry.
+    #[inline(always)]
+    pub(crate) fn finish(&self, sum: T) -> T {
+        self.decided.unwrap_or_else(|| self.scale * sum.sqrt())
     }
 }
 
@@ -325,6 +374,20 @@ mod tests {
         let n = a.norm2();
         assert!(n.is_finite());
         assert!((n - 1e200 * 2f64.sqrt()).abs() / n < 1e-14);
+    }
+
+    #[test]
+    fn norm2_propagates_nan_and_infinity() {
+        let nan = f64::NAN;
+        assert!(v(&[nan, nan]).norm2().is_nan());
+        assert!(v(&[nan, 0.0]).norm2().is_nan());
+        assert!(v(&[0.0, -0.0, nan]).norm2().is_nan());
+        assert!(v(&[3.0, nan, 4.0]).norm2().is_nan());
+        assert!(v(&[f64::INFINITY, nan]).norm2().is_nan());
+        assert_eq!(v(&[f64::INFINITY, 1.0]).norm2(), f64::INFINITY);
+        assert_eq!(v(&[2.0, f64::NEG_INFINITY]).norm2(), f64::INFINITY);
+        assert_eq!(v(&[0.0, -0.0]).norm2().to_bits(), 0.0f64.to_bits());
+        assert_eq!(Vector::<f64>::zeros(0).norm2(), 0.0);
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! references.
 //!
 //! `qls_linalg` runs its hot loops — `Vector::dot` / `norm2` / `axpy`, the
-//! CSR matvec at every precision, the CG iteration — inside a runtime
-//! `avx2,fma` dispatch, where each `mul_add` is one hardware `vfmadd`.  Every
+//! CSR and dense products (plain and transposed) at every precision, the CG
+//! iteration over CSR and over the sliced-ELLPACK operator of
+//! `SparseMatrix::factorize` — inside a runtime `avx2,fma` dispatch, where
+//! each `mul_add` is one hardware `vfmadd`.  Every
 //! reference below is the same loop, in the same operation order, written
 //! out in this file and therefore compiled at the baseline, where `mul_add`
 //! is a call into libm's `fma`.  Both are correctly rounded, so the results
@@ -18,7 +20,10 @@
 //! where the dispatch would silently compare the baseline with itself.
 
 use qls_linalg::generate::{random_connected_graph, shifted_graph_laplacian};
-use qls_linalg::{ConjugateGradientSolver, InnerSolver, Real, SparseMatrix, Vector};
+use qls_linalg::{
+    ConjugateGradientSolver, FactorizableOperator, InnerSolver, InnerSolverKind, Matrix, Real,
+    SparseMatrix, Vector,
+};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -72,7 +77,15 @@ fn reference_dot<T: Real>(x: &[T], y: &[T]) -> T {
         .fold(T::zero(), |acc, (&a, &b)| a.mul_add(b, acc))
 }
 
+/// The 2-norm rule: NaN when any entry is NaN, +∞ when any other entry is
+/// infinite, and otherwise the max-scaled sequential fold.
 fn reference_norm2<T: Real>(x: &[T]) -> T {
+    if x.iter().any(|v| v.to_f64().is_nan()) {
+        return T::from_f64(f64::NAN);
+    }
+    if x.iter().any(|v| !v.is_finite()) {
+        return T::from_f64(f64::INFINITY);
+    }
     let maxabs = x.iter().fold(T::zero(), |acc, v| acc.max(v.abs()));
     if maxabs == T::zero() {
         return T::zero();
@@ -228,6 +241,71 @@ fn csr_matvec_matches_the_baseline_f32() {
     csr_matvec_matches_the_baseline::<f32>(1e-45);
 }
 
+/// The transposed product as a column scatter in ascending row order,
+/// `out[c] = fma(a_ic, x_i, out[c])` — the order of both library kernels.
+fn reference_matvec_transposed<T: Real>(a: &SparseMatrix<T>, x: &[T]) -> Vec<T> {
+    let mut out = vec![T::zero(); a.ncols()];
+    for (i, &xi) in x.iter().enumerate() {
+        let (cols, vals) = a.row(i);
+        for (&c, &v) in cols.iter().zip(vals) {
+            out[c] = v.mul_add(xi, out[c]);
+        }
+    }
+    out
+}
+
+/// The dense transposed product in the same scatter order, every entry of
+/// the row (zeros included) in ascending column order.
+fn reference_dense_matvec_transposed<T: Real>(a: &Matrix<T>, x: &[T]) -> Vec<T> {
+    let mut out = vec![T::zero(); a.ncols()];
+    for (i, &xi) in x.iter().enumerate() {
+        for (o, &v) in out.iter_mut().zip(a.row(i)) {
+            *o = v.mul_add(xi, *o);
+        }
+    }
+    out
+}
+
+fn transposed_matvecs_match_the_baseline<T: Real>(subnormal: T) {
+    for rows in 0..70 {
+        let cols = (rows + rows / 3).max(1);
+        let a = ragged_csr::<T>(rows, cols, 100 + rows as u64, subnormal);
+        let dense = a.to_dense();
+        let x = finite_vector::<T>(rows, 12, subnormal);
+        let mut inputs = vec![("finite".to_string(), x.clone())];
+        if rows > 0 {
+            for special in [f64::INFINITY, f64::NEG_INFINITY, f64::NAN] {
+                let mut xs = x.clone();
+                xs[rows / 2] = T::from_f64(special);
+                inputs.push((format!("x[{}] = {special}", rows / 2), xs));
+            }
+        }
+        for (label, x) in &inputs {
+            let what = format!("{} transposed {rows}x{cols}, {label}", T::format_name());
+            assert_same(
+                a.matvec_transposed(x).as_slice(),
+                &reference_matvec_transposed(&a, x.as_slice()),
+                &what,
+            );
+            assert_same(
+                dense.matvec_transposed(x).as_slice(),
+                &reference_dense_matvec_transposed(&dense, x.as_slice()),
+                &format!("{what}, dense"),
+            );
+        }
+    }
+}
+
+#[test]
+fn transposed_matvecs_match_the_baseline_f64() {
+    transposed_matvecs_match_the_baseline::<f64>(5e-324);
+}
+
+#[test]
+fn transposed_matvecs_match_the_baseline_f32() {
+    transposed_matvecs_match_the_baseline::<f32>(1e-45);
+}
+
 /// Jacobi-CG in the library's operation order — `x += α p`, `r −= α A p`,
 /// `z = D⁻¹ r`, `p = z + (β p)` with the product and the sum rounded
 /// separately — built only from the baseline references above.
@@ -288,6 +366,50 @@ fn cg_solve_matches_a_baseline_compiled_run() {
         &want,
         "Jacobi-CG on a shifted graph Laplacian",
     );
+}
+
+/// The library's own inner solver — `SparseMatrix::factorize::<f32>()`,
+/// which runs CG over the sliced-ELLPACK operator with the fused residual
+/// pass — against the same baseline CG over the rounded CSR matrix.  At
+/// n = 6000 the SpMV is above the shared work threshold, so its windows fan
+/// out; the result must not depend on the thread count.
+#[test]
+fn factorized_cg_matches_a_baseline_compiled_run_at_any_thread_count() {
+    let n = 6000;
+    let mut rng = ChaCha8Rng::seed_from_u64(18);
+    let edges = random_connected_graph(n, 3 * n, &mut rng);
+    let a = shifted_graph_laplacian::<f64>(n, &edges, 0.5);
+    assert!(a.nnz() >= 1 << 15, "nnz {} is below the threshold", a.nnz());
+    let b: Vec<f32> = (0..n).map(|i| value(i, 19) as f32).collect();
+    let rel_tol = 16.0 * f32::unit_roundoff();
+    let low = a.convert::<f32>();
+    let want = reference_cg(&low, &b, rel_tol, n);
+    // Transposed solves: CG over the rounded CSR operator is the reference
+    // (`Aᵀ = A` here, but a transposed solve runs the scatter kernels).
+    let b = Vector::from_vec(b);
+    let csr_cg = ConjugateGradientSolver::new(low.clone(), &low.diagonal(), rel_tol, n).unwrap();
+    let want_t = csr_cg.solve_transposed(&b).unwrap();
+    for threads in [1, 3] {
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(threads)
+            .build()
+            .unwrap();
+        let (got, got_t) = pool.install(|| {
+            let solver = a.factorize::<f32>().unwrap();
+            assert_eq!(solver.kind(), InnerSolverKind::ConjugateGradient);
+            (
+                solver.solve(&b).unwrap(),
+                solver.solve_transposed(&b).unwrap(),
+            )
+        });
+        let what = format!("factorized Jacobi-CG, {threads} thread(s)");
+        assert_same(got.as_slice(), &want, &what);
+        assert_same(
+            got_t.as_slice(),
+            want_t.as_slice(),
+            &format!("{what}, transposed"),
+        );
+    }
 }
 
 #[test]
