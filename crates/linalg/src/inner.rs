@@ -36,7 +36,10 @@
 //! garbage silently — breakdowns surface as [`LinalgError`]s, and a NaN or
 //! infinite curvature or residual ends the iteration at once (CG's
 //! `!(p·Ap > 0)`; BiCGSTAB treats a zero or non-finite `ρ`, `r̂·v`, `t·t` or
-//! `ω` alike) instead of iterating to the cap.
+//! `ω` alike) instead of iterating to the cap.  A right-hand side with a NaN
+//! or infinite entry is refused up front by both with
+//! [`LinalgError::NonFinite`]; `Singular` is kept for a finite, non-positive
+//! first curvature in CG.
 //!
 //! # The sparse Krylov path
 //!
@@ -342,7 +345,8 @@ fn breaks_down<T: Real>(v: T) -> bool {
 /// The solve stops at a relative residual of a few units of roundoff of the
 /// format, returns its best iterate on stagnation (refinement absorbs an
 /// inexact inner solve), and reports [`LinalgError::Singular`] if the very
-/// first search direction shows the operator is not positive definite.
+/// first search direction shows the operator is not positive definite (a
+/// finite `p·Ap ≤ 0`; a NaN curvature is a breakdown like any other).
 pub struct ConjugateGradientSolver<T: Real, Op: LinearOperator<T>> {
     op: Op,
     inv_diag: Vector<T>,
@@ -395,6 +399,9 @@ impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
     #[inline(always)]
     fn iterate(&self, b: &Vector<T>, n: usize, transposed: bool) -> Result<Vector<T>, LinalgError> {
         let bnorm = b.norm2();
+        if !bnorm.is_finite() {
+            return Err(LinalgError::NonFinite);
+        }
         if bnorm == T::zero() {
             return Ok(Vector::zeros(n));
         }
@@ -421,7 +428,7 @@ impl<T: Real, Op: LinearOperator<T>> ConjugateGradientSolver<T, Op> {
             // False for a NaN curvature too.
             let positive = pap > T::zero();
             if !positive {
-                if step == 0 {
+                if step == 0 && pap.is_finite() {
                     // Not positive definite along the very first direction:
                     // CG is the wrong solver, report it rather than iterate.
                     return Err(LinalgError::Singular { step });
@@ -521,6 +528,9 @@ impl<T: Real, Op: LinearOperator<T>> BiCgStabSolver<T, Op> {
     #[inline(always)]
     fn iterate(&self, b: &Vector<T>, n: usize, transposed: bool) -> Result<Vector<T>, LinalgError> {
         let bnorm = b.norm2();
+        if !bnorm.is_finite() {
+            return Err(LinalgError::NonFinite);
+        }
         if bnorm == T::zero() {
             return Ok(Vector::zeros(n));
         }
@@ -861,16 +871,36 @@ mod tests {
         // would never return.
         let a = poisson_2d::<f64>(10, 10, false).to_sparse();
         let diag = a.diagonal();
-        let mut b: Vector<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
-        b[17] = f64::NAN;
+        let b: Vector<f64> = (0..100).map(|i| (i as f64 * 0.3).sin()).collect();
         let cg = ConjugateGradientSolver::new(a.clone(), &diag, 1e-12, usize::MAX).unwrap();
-        assert!(matches!(
-            cg.solve(&b),
-            Err(LinalgError::Singular { step: 0 })
-        ));
         let bicg = BiCgStabSolver::new(a.clone(), &diag, 1e-12, usize::MAX);
-        assert!(bicg.solve(&b).is_ok());
-        assert!(bicg.solve_transposed(&b).is_ok());
+        // A non-finite right-hand side is bad data, not a singular operator:
+        // both solvers say so with the same error.
+        for bad in [f64::NAN, f64::INFINITY] {
+            let mut b = b.clone();
+            b[17] = bad;
+            for x in [
+                cg.solve(&b),
+                cg.solve_transposed(&b),
+                bicg.solve(&b),
+                bicg.solve_transposed(&b),
+            ] {
+                assert!(matches!(x, Err(LinalgError::NonFinite)), "{bad}: {x:?}");
+            }
+        }
+        // A NaN in the operator gives a NaN first curvature: a breakdown,
+        // not proof of indefiniteness, so CG returns its (zero) iterate the
+        // way BiCGSTAB does.
+        let triplets: Vec<_> = a
+            .iter_entries()
+            .map(|(i, c, v)| (i, c, if i == 5 && c == 5 { f64::NAN } else { v }))
+            .collect();
+        let nan = SparseMatrix::from_triplets(100, 100, &triplets);
+        let cg = ConjugateGradientSolver::new(nan.clone(), &diag, 1e-12, usize::MAX).unwrap();
+        let bicg = BiCgStabSolver::new(nan, &diag, 1e-12, usize::MAX);
+        for x in [cg.solve(&b), bicg.solve(&b)] {
+            assert!(x.unwrap().iter().all(|&v| v == 0.0));
+        }
         // An infinite diagonal entry: the first residual update is NaN.  The
         // solvers stop and return their best (finite) iterate.
         let triplets: Vec<_> = a

@@ -22,6 +22,8 @@ pub enum LinalgError {
     NotSquare,
     /// Dimensions of operands do not match.
     DimensionMismatch,
+    /// An input vector holds a NaN or infinite entry.
+    NonFinite,
 }
 
 impl std::fmt::Display for LinalgError {
@@ -32,6 +34,7 @@ impl std::fmt::Display for LinalgError {
             }
             LinalgError::NotSquare => write!(f, "matrix is not square"),
             LinalgError::DimensionMismatch => write!(f, "dimension mismatch"),
+            LinalgError::NonFinite => write!(f, "input holds a NaN or infinite entry"),
         }
     }
 }

@@ -63,12 +63,12 @@
 //! column step of a slice is 8 entries of 8 different rows.  Under
 //! `avx2,fma` the `f32` kernel loads the step's 8 `i32` columns and values,
 //! gathers the 8 `x` entries with one masked `vpgatherdd` and accumulates
-//! with one `vfmadd` (the `f64` kernel does the same in two 4-lane halves).
+//! with one `vfmadd`.
 //! The mask is `c as u32 < x.len()`, so padding (column −1) gathers +0 and
 //! no lane can read outside `x`.  Each lane is still one output row summed
 //! in ascending column order, and the padding fmas `fma(−0, +0, acc)` are
-//! exact no-ops, so the result is bit-identical to the CSR row fold.  Other
-//! precisions and CPUs run [`sell_spmv_portable`], the same lane-by-lane
+//! exact no-ops, so the result is bit-identical to the CSR row fold.  `f64`,
+//! `Emulated` and CPUs without AVX2 run [`sell_spmv_portable`], the same lane-by-lane
 //! operation sequence in safe code under [`dispatch`]; the equivalence suite
 //! calls both kernels directly.
 
@@ -329,16 +329,17 @@ pub(crate) fn sell_spmv_portable<T: Real>(
     )
 }
 
-/// True when [`sell_spmv_gather`] has a kernel for `T` on this CPU (`f32`
-/// and `f64` on x86-64 with AVX2 and FMA).
+/// True when [`sell_spmv_gather`] has a kernel for `T` on this CPU: `f32`
+/// on x86-64 with AVX2 and FMA.  (`f64` and `Emulated` run the portable
+/// loop; no workload runs a sparse `f64` inner solve.)
 pub(crate) fn sell_gather_available<T: Real>() -> bool {
     cfg!(target_arch = "x86_64")
-        && (is_f64::<T>() || TypeId::of::<T>() == TypeId::of::<f32>())
+        && TypeId::of::<T>() == TypeId::of::<f32>()
         && wide::runtime::avx2_fma_available()
 }
 
-/// The AVX2 sliced-ELLPACK kernel: per column step one masked 8-lane gather
-/// of `x` and one fma per 8 lanes.  Panics where [`sell_gather_available`]
+/// The AVX2 sliced-ELLPACK kernel for `f32`: per column step one masked
+/// 8-lane gather of `x` and one fma.  Panics where [`sell_gather_available`]
 /// is false.
 pub(crate) fn sell_spmv_gather<T: Real>(
     m: SellSlices<'_>,
@@ -352,10 +353,6 @@ pub(crate) fn sell_spmv_gather<T: Real>(
         if let (Some(v), Some(x), Some(out)) = (cast(values), cast(x), cast_mut(out)) {
             // SAFETY: avx2 and fma were just detected on this CPU.
             return unsafe { gather::sell_f32(m, v, x, out, row0) };
-        }
-        if let (Some(v), Some(x), Some(out)) = (cast(values), cast(x), cast_mut(out)) {
-            // SAFETY: avx2 and fma were just detected on this CPU.
-            return unsafe { gather::sell_f64(m, v, x, out, row0) };
         }
     }
     panic!(
@@ -398,13 +395,6 @@ mod gather {
         _mm256_cmpgt_epi32(bound, _mm256_xor_si256(idx, flip))
     }
 
-    /// Sign-extend four 32-bit mask lanes to a 4-lane `f64` mask.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    fn widen(half: __m128i) -> __m256d {
-        _mm256_castsi256_pd(_mm256_cvtepi32_epi64(half))
-    }
-
     #[target_feature(enable = "avx2,fma")]
     pub(super) fn sell_f32(
         m: SellSlices<'_>,
@@ -438,70 +428,6 @@ mod gather {
             let mut lanes = [0.0f32; SLICE];
             // SAFETY: `lanes` holds 8 `f32`.
             unsafe { _mm256_storeu_ps(lanes.as_mut_ptr(), acc) };
-            scatter(rows, &lanes, out, row0);
-        }
-    }
-
-    /// The `f64` kernel: each slice's 8 lanes in two 4-lane halves.
-    #[target_feature(enable = "avx2,fma")]
-    pub(super) fn sell_f64(
-        m: SellSlices<'_>,
-        values: &[f64],
-        x: &[f64],
-        out: &mut [f64],
-        row0: usize,
-    ) {
-        for (s, rows) in m.rows.chunks(SLICE).enumerate() {
-            let span = m.slice_ptr[s]..m.slice_ptr[s + 1];
-            let (mut lo, mut hi) = (_mm256_setzero_pd(), _mm256_setzero_pd());
-            let steps = m.col_idx[span.clone()]
-                .chunks_exact(SLICE)
-                .zip(values[span].chunks_exact(SLICE));
-            for (cols, vals) in steps {
-                // SAFETY: `cols` and `vals` each hold SLICE = 8 elements.
-                let (idx, v_lo, v_hi) = unsafe {
-                    (
-                        _mm256_loadu_si256(cols.as_ptr().cast()),
-                        _mm256_loadu_pd(vals.as_ptr()),
-                        _mm256_loadu_pd(vals[4..].as_ptr()),
-                    )
-                };
-                let mask = live(idx, x.len());
-                let (idx_lo, idx_hi) = (
-                    _mm256_castsi256_si128(idx),
-                    _mm256_extracti128_si256::<1>(idx),
-                );
-                let (mask_lo, mask_hi) = (
-                    widen(_mm256_castsi256_si128(mask)),
-                    widen(_mm256_extracti128_si256::<1>(mask)),
-                );
-                // SAFETY: only live lanes are read, and a live lane's index
-                // lies in `0..x.len()`.
-                let (x_lo, x_hi) = unsafe {
-                    (
-                        _mm256_mask_i32gather_pd::<8>(
-                            _mm256_setzero_pd(),
-                            x.as_ptr(),
-                            idx_lo,
-                            mask_lo,
-                        ),
-                        _mm256_mask_i32gather_pd::<8>(
-                            _mm256_setzero_pd(),
-                            x.as_ptr(),
-                            idx_hi,
-                            mask_hi,
-                        ),
-                    )
-                };
-                lo = _mm256_fmadd_pd(v_lo, x_lo, lo);
-                hi = _mm256_fmadd_pd(v_hi, x_hi, hi);
-            }
-            let mut lanes = [0.0f64; SLICE];
-            // SAFETY: `lanes` holds 8 `f64`, 4 per store.
-            unsafe {
-                _mm256_storeu_pd(lanes.as_mut_ptr(), lo);
-                _mm256_storeu_pd(lanes[4..].as_mut_ptr(), hi);
-            }
             scatter(rows, &lanes, out, row0);
         }
     }

@@ -37,9 +37,10 @@
 //! Each lane accumulates one row, in ascending column order, from +0 — the
 //! CSR row fold's exact operation sequence followed by exact no-ops — so the
 //! sliced product is **bit-identical** to [`SparseMatrix::matvec`] at every
-//! precision.  A window is one parallel task: its rows are permuted only
-//! among themselves, so each task writes exactly its own chunk of the output
-//! and the result does not depend on the thread count.  The transposed
+//! precision.  In parallel the work splits into one run of whole windows
+//! per thread.  A window's rows are permuted only among themselves, so each
+//! window writes only its own rows of the output and the bits do not depend
+//! on the thread count.  The transposed
 //! product scatters in original row order through the inverse permutation,
 //! the order of [`SparseMatrix::matvec_transposed`], so transposed solves
 //! match too.
@@ -345,7 +346,7 @@ impl<T: Real> SparseMatrix<T> {
 }
 
 /// Sorting window σ of [`SlicedEll`]: rows are sorted by length within
-/// aligned windows of this many rows, and one window is one parallel task.
+/// aligned windows of this many rows; a parallel split never cuts a window.
 const SORT_WINDOW: usize = 256;
 const _: () = assert!(
     SORT_WINDOW.is_multiple_of(SLICE),
@@ -432,9 +433,10 @@ impl<T: Real> SlicedEll<T> {
         }
     }
 
-    /// `A x` through `kernel`, one sorting window per parallel task above
-    /// the shared work threshold: a window's rows are permuted only among
-    /// themselves, so each task writes exactly its own chunk of `out`.
+    /// `A x` through `kernel`, in parallel above the shared work threshold:
+    /// each thread takes a run of whole sorting windows, and a window's rows
+    /// are permuted only among themselves, so each window writes exactly its
+    /// own chunk of `out`.
     pub(crate) fn matvec_with(&self, x: &Vector<T>, kernel: SellKernel<T>) -> Vector<T> {
         assert_eq!(self.cols, x.len(), "sliced matvec: dimension mismatch");
         let xs = x.as_slice();
